@@ -1,10 +1,28 @@
-"""Setup shim for environments without the ``wheel`` package.
+"""Packaging for the AdvSGM reproduction (``repro``).
 
-The project metadata lives in ``pyproject.toml``; this file only exists so
-``pip install -e .`` can fall back to the legacy setuptools editable install
-when PEP 660 builds are unavailable (offline environments without ``wheel``).
+The package lives under ``src/``.  ``pip install -e .`` installs it with its
+runtime dependencies: NumPy for every kernel, SciPy for ``logsumexp``
+(privacy accounting) and ``rankdata`` (AUC).  The test and benchmark suites
+additionally need ``pytest`` and ``pytest-benchmark``.
 """
 
-from setuptools import setup
+import re
+from pathlib import Path
 
-setup()
+from setuptools import find_packages, setup
+
+VERSION = re.search(
+    r'^__version__ = "([^"]+)"',
+    (Path(__file__).parent / "src" / "repro" / "__init__.py").read_text(),
+    re.M,
+).group(1)
+
+setup(
+    name="repro",
+    version=VERSION,
+    description="Differentially private graph learning via adversarial skip-gram (AdvSGM)",
+    python_requires=">=3.10",
+    package_dir={"": "src"},
+    packages=find_packages("src"),
+    install_requires=["numpy", "scipy"],
+)

@@ -34,7 +34,9 @@ from repro.utils.serialization import canonical_json, to_plain
 #: (different keys) and are ignored even if probed directly (manifest check).
 #: v2: cells carry ``backend``/``device`` and the resolved backend spec is
 #: part of the hashed form (numpy/torch results can no longer alias).
-CACHE_SCHEMA_VERSION = 2
+#: v3: ``walk_workers > 1`` walks frontier-sharded passes instead of whole
+#: derived-seed passes, so those cells compute a different corpus.
+CACHE_SCHEMA_VERSION = 3
 
 
 def cell_backend_spec(cell: Union[ExperimentCell, Mapping[str, Any]]) -> str:

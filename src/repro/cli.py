@@ -378,8 +378,6 @@ def _streaming_overrides(args: argparse.Namespace, model_name: str) -> Dict[str,
         ("--stream-pairs", "pair_streaming", True if args.stream_pairs else None),
         ("--chunk-walks", "stream_chunk_walks", args.chunk_walks),
         ("--walk-workers", "walk_workers", args.walk_workers),
-        ("--prefetch-pairs", "pair_prefetch", True if args.prefetch_pairs else None),
-        ("--prefetch-depth", "prefetch_depth", args.prefetch_depth),
         ("--frontier-shard", "frontier_shard", args.frontier_shard),
         ("--walk-cache", "walk_cache", walk_cache),
     ):
@@ -843,14 +841,8 @@ def build_parser() -> argparse.ArgumentParser:
     p_train.add_argument("--chunk-walks", type=int, default=None,
                          help="walk rows per streamed pair chunk")
     p_train.add_argument("--walk-workers", type=int, default=None,
-                         help="process-pool size for sharded walk generation")
-    p_train.add_argument("--prefetch-pairs", action="store_true",
-                         help="generate and shuffle pair chunks in a "
-                              "background producer, overlapping walk "
-                              "generation with SGD (implies streaming)")
-    p_train.add_argument("--prefetch-depth", type=int, default=None,
-                         help="bounded prefetch queue depth in chunks "
-                              "(default 2: double buffering)")
+                         help="process-pool size for frontier-sharded walk "
+                              "generation")
     p_train.add_argument("--frontier-shard", type=int, default=None,
                          help="split each walk pass into contiguous frontier "
                               "shards of this many start nodes (bit-identical "

@@ -16,7 +16,6 @@ detail — downstream trainers shuffle pairs before batching anyway.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from itertools import chain
 from typing import Iterator, List, Sequence, Union
 
@@ -232,13 +231,13 @@ def iter_walk_pairs(
 
     The walk stream is generated one corpus pass at a time with exactly the
     same RNG discipline as :meth:`~repro.graph.walk_engine.WalkEngine.walk_corpus`
-    (shared sequential stream for ``workers=1``, pre-derived per-pass seeds
-    for ``workers > 1``), so for a given seed the union of the yielded chunks
-    is the *same pair multiset* as ``walks_to_pairs(walk_corpus(...))`` — only
-    the emission order differs.  Each pass is sliced into ``chunk_walks``-row
-    blocks, converted to pairs, and (by default) shuffled within the chunk
-    with a generator spawned off ``rng``, which never consumes draws from the
-    walk stream.
+    (shared sequential stream for ``workers=1``, frontier-sharded passes on
+    pre-derived seeds for ``workers > 1`` or a ``frontier_shard``), so for a
+    given seed the union of the yielded chunks is the *same pair multiset* as
+    ``walks_to_pairs(walk_corpus(...))`` — only the emission order differs.
+    Each pass is sliced into ``chunk_walks``-row blocks, converted to pairs,
+    and (by default) shuffled within the chunk with a generator spawned off
+    ``rng``, which never consumes draws from the walk stream.
 
     Peak memory is one pass's walk matrix (``num_nodes * walk_length``) plus
     one chunk of pairs (about ``chunk_walks * walk_length * 2 * window_size``
@@ -281,49 +280,4 @@ def iter_walk_pairs(
             if shuffle_rng is not None:
                 pairs = pairs[shuffle_rng.permutation(pairs.shape[0])]
             yield pairs
-
-
-@dataclass
-class WalkPairChunkFactory:
-    """Picklable zero-argument factory over :func:`iter_walk_pairs`.
-
-    One call is one corpus pass of shuffled pair chunks, advancing ``rng``
-    exactly as calling :func:`iter_walk_pairs` inline would — so consecutive
-    calls stream fresh walks, epoch after epoch.  Being a plain dataclass
-    (graph buffers and ``numpy.random.Generator`` both pickle, the generator
-    keeping its bit-generator state *and* seed-sequence spawn counter), the
-    factory can be shipped to a spawned prefetch producer which then replays
-    the identical pass sequence the in-process streaming path would have
-    generated.  This is what lets ``PrefetchingPairSource`` promise the same
-    pair multiset seed-for-seed in both thread and process mode.
-    """
-
-    graph: Graph
-    num_walks: int
-    walk_length: int
-    window_size: int = 5
-    p: float = 1.0
-    q: float = 1.0
-    chunk_walks: int = _STREAM_CHUNK_WALKS
-    workers: int = 1
-    frontier_shard: int | None = None
-    walk_cache: object = None
-    rng: RngLike = field(default=None)
-
-    def __call__(self) -> Iterator[np.ndarray]:
-        self.rng = ensure_rng(self.rng)  # keep state across calls
-        return iter_walk_pairs(
-            self.graph,
-            self.num_walks,
-            self.walk_length,
-            window_size=self.window_size,
-            p=self.p,
-            q=self.q,
-            chunk_walks=self.chunk_walks,
-            rng=self.rng,
-            workers=self.workers,
-            frontier_shard=self.frontier_shard,
-            walk_cache=self.walk_cache,
-        )
-
 

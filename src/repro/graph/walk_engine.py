@@ -18,16 +18,19 @@ automatically falls back to rejection sampling: propose a uniform neighbour,
 accept with probability ``w / w_max`` where ``w`` is the p/q weight — O(2|E|)
 memory regardless of the degree distribution.
 
-``walk_corpus`` can shard its passes across a process pool: per-pass seeds
-are derived from the root generator *before* the fan-out (the same discipline
-as ``repro.experiments.runners.run_spec``), so the sharded corpus is
-deterministic, identical for every worker count, and equal to running the
-same derived-seed passes serially.  The default ``workers=1`` path keeps the
-historical shared-stream behaviour bit-for-bit.
+``walk_corpus`` has two RNG disciplines.  The default ``workers=1`` path
+keeps the historical shared-stream behaviour bit-for-bit.  ``workers > 1``
+(or an explicit ``frontier_shard``) splits every pass's start-node frontier
+into contiguous shards with per-pass and per-shard seeds derived from the
+root generator *before* the fan-out (the same discipline as
+``repro.experiments.runners.run_spec``), so the sharded corpus is
+deterministic, identical for every worker count, and equal to walking the
+same shards serially.
 """
 
 from __future__ import annotations
 
+from collections import deque
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 from typing import TYPE_CHECKING, Any, Dict, Optional, Tuple
@@ -44,6 +47,13 @@ if TYPE_CHECKING:  # pragma: no cover — import cycle guard (cache -> api -> gr
 SECOND_ORDER_MODES = ("auto", "table", "rejection")
 
 
+#: Start nodes per frontier shard when ``workers > 1`` and no explicit
+#: ``frontier_shard`` is given.  On a 2-CPU x86_64 host (100k-node graph,
+#: 4 passes of 80 steps, 2 workers) 4096 walked faster than 1024, 2048,
+#: 8192 and 16384, and far faster than one shard per pass.
+FRONTIER_SHARD = 4096
+
+
 def derive_pass_seeds(rng: np.random.Generator, num_passes: int) -> np.ndarray:
     """Per-pass seeds drawn up front, before any fan-out (run_spec discipline)."""
     return rng.integers(0, 2**63 - 1, size=num_passes)
@@ -57,11 +67,6 @@ _POOL_ENGINE: Optional["WalkEngine"] = None
 def _init_pool_engine(graph: Graph) -> None:
     global _POOL_ENGINE
     _POOL_ENGINE = WalkEngine(graph)
-
-
-def _pool_corpus_pass(args: Tuple[int, int, float, float]) -> np.ndarray:
-    seed, walk_length, p, q = args
-    return _POOL_ENGINE.corpus_pass(seed, walk_length, p=p, q=q)
 
 
 def _pool_frontier_shard(args: Tuple[int, int, int, int, float, float]) -> np.ndarray:
@@ -162,19 +167,16 @@ class WalkEngine:
         in the original DeepWalk/node2vec schedules; the passes are stacked
         into one ``(num_walks * num_nodes, walk_length)`` matrix.
 
-        ``workers > 1`` shards the passes across a process pool.  Per-pass
-        seeds are derived from ``rng`` before the fan-out, so the sharded
-        corpus is the same for every worker count and equals executing the
-        same :meth:`corpus_pass` schedule serially; it differs from the
-        ``workers=1`` corpus, whose passes share one sequential stream (kept
-        bit-for-bit for backwards reproducibility).
-
-        ``frontier_shard`` additionally splits *each pass's* start-node
-        frontier into contiguous shards of that many nodes, each walked with
-        a pre-derived RNG stream — the unit the pool distributes when one
-        pass is itself too large for a single process.  Any ``frontier_shard``
-        run (any worker count, including 1) uses the derived-seed discipline
-        and is bit-identical for every worker count.
+        ``frontier_shard`` splits *each pass's* start-node frontier into
+        contiguous shards of that many nodes, each walked with an RNG stream
+        derived from ``rng`` before any walking — the unit a process pool
+        distributes.  ``workers > 1`` shards at :data:`FRONTIER_SHARD` nodes
+        when ``frontier_shard`` is unset.  A sharded corpus is the same for
+        every worker count (including 1) and equals stacking
+        :meth:`frontier_sharded_pass` over :func:`derive_pass_seeds`
+        serially; it differs from the unsharded ``workers=1`` corpus, whose
+        passes share one sequential stream (kept bit-for-bit for backwards
+        reproducibility).
 
         ``walk_cache`` (a :class:`~repro.cache.artifacts.WalkCorpusStore`, a
         directory, ``True`` for the default artifact directory, or ``None``
@@ -211,8 +213,8 @@ class WalkEngine:
         discipline: ``walk_corpus`` stacks these passes, and the streaming
         pair pipeline (:func:`repro.graph.random_walk.iter_walk_pairs`)
         consumes them incrementally — which is what makes the two paths
-        produce the same walks seed-for-seed.  With ``workers > 1`` at most
-        ``workers + 1`` pass matrices are in flight, so a slow consumer
+        produce the same walks seed-for-seed.  With ``workers > 1`` the shards
+        of at most ``workers + 1`` passes are in flight, so a slow consumer
         bounds the producer's memory.
 
         With a ``walk_cache``, each pass is first looked up in the artifact
@@ -233,14 +235,12 @@ class WalkEngine:
             )
         rng = ensure_rng(rng)
         store = self._resolve_corpus_store(walk_cache)
+        if frontier_shard is None and workers > 1:
+            frontier_shard = FRONTIER_SHARD
         if frontier_shard is not None:
             return self._frontier_sharded_passes(
                 num_walks, walk_length, p, q, rng, workers, frontier_shard,
                 store=store,
-            )
-        if workers > 1:
-            return self._pooled_passes(
-                num_walks, walk_length, p, q, rng, workers, store=store
             )
         return self._stream_passes(num_walks, walk_length, p, q, rng, store=store)
 
@@ -330,76 +330,6 @@ class WalkEngine:
             return None
         return np.array(matrix[:, 0], dtype=np.int64)
 
-    def _pooled_passes(self, num_walks, walk_length, p, q, rng, workers, store=None):
-        """Derived-seed passes from a process pool, with bounded prefetch.
-
-        With a ``store``, each pass is keyed on its derived seed (the pass is
-        a pure function of it); cached passes are served as mmap views and
-        only the misses are submitted to the pool — when every pass hits, no
-        pool is created at all.  The parent persists freshly computed passes,
-        keeping the write discipline single-process.
-        """
-        from collections import deque
-
-        seeds = derive_pass_seeds(rng, num_walks)
-        cached: list = [None] * num_walks
-        keys: list = [None] * num_walks
-        if store is not None:
-            params = self._corpus_params(walk_length, p, q)
-            payloads = [
-                dict(params, mode="derived", seed=int(seed)) for seed in seeds
-            ]
-            keys = [store.corpus_key(payload) for payload in payloads]
-            for index, key in enumerate(keys):
-                hit = store.load(key)
-                if hit is not None:
-                    cached[index] = hit[0]
-        missing = deque(i for i in range(num_walks) if cached[i] is None)
-        if not missing:
-            yield from cached
-            return
-        with ProcessPoolExecutor(
-            max_workers=min(int(workers), len(missing)),
-            initializer=_init_pool_engine,
-            initargs=(self.graph,),
-        ) as pool:
-
-            def submit(index):
-                task = (int(seeds[index]), walk_length, p, q)
-                return index, pool.submit(_pool_corpus_pass, task)
-
-            prime = min(int(workers) + 1, len(missing))
-            in_flight = deque(submit(missing.popleft()) for _ in range(prime))
-            for index in range(num_walks):
-                if cached[index] is not None:
-                    yield cached[index]
-                    continue
-                ready, future = in_flight.popleft()
-                assert ready == index  # hits never enter the submit queue
-                matrix = future.result()
-                if missing:
-                    in_flight.append(submit(missing.popleft()))
-                if store is not None:
-                    store.save(keys[index], matrix, payloads[index])
-                yield matrix
-
-    def corpus_pass(
-        self,
-        seed: int,
-        walk_length: int,
-        p: float = 1.0,
-        q: float = 1.0,
-    ) -> np.ndarray:
-        """One derived-seed corpus pass: shuffle the nodes, walk once from each.
-
-        This is the sharding unit of ``walk_corpus(workers > 1)``; running the
-        derived seeds through it serially reproduces the sharded corpus.
-        """
-        rng = np.random.default_rng(int(seed))
-        nodes = np.arange(self.graph.num_nodes)
-        rng.shuffle(nodes)
-        return self.node2vec_walks(nodes, walk_length, p=p, q=q, rng=rng)
-
     # ------------------------------------------------------------------
     # in-pass frontier sharding
     # ------------------------------------------------------------------
@@ -457,12 +387,12 @@ class WalkEngine:
         walk_length: int,
         p: float = 1.0,
         q: float = 1.0,
-        frontier_shard: int = 1024,
+        frontier_shard: int = FRONTIER_SHARD,
     ) -> np.ndarray:
         """One sharded pass executed serially: the parity reference.
 
         Stacking every :meth:`frontier_shard_of_pass` in shard order is, by
-        construction, what the pooled path produces for any worker count.
+        construction, what a process pool produces for any worker count.
         """
         nodes, shard_seeds = self._frontier_plan(seed, frontier_shard)
         size = int(frontier_shard)
@@ -483,7 +413,7 @@ class WalkEngine:
         self, num_walks, walk_length, p, q, rng, workers, frontier_shard,
         store=None,
     ):
-        """Derived-seed sharded passes, serial or pooled — same bytes either way.
+        """Sharded passes on derived seeds, serial or pooled — same bytes either way.
 
         The artifact unit is the *assembled* pass (shards stacked in order),
         keyed on the pass seed plus the shard size — the pass is a pure
@@ -522,25 +452,37 @@ class WalkEngine:
                 yield matrix
             return
         num_shards = self.num_frontier_shards(frontier_shard)
+        missing = deque(i for i in range(num_walks) if cached[i] is None)
         with ProcessPoolExecutor(
-            max_workers=min(int(workers), num_shards),
+            max_workers=min(int(workers), num_shards * len(missing)),
             initializer=_init_pool_engine,
             initargs=(self.graph,),
         ) as pool:
-            for index, seed in enumerate(seeds):
-                if cached[index] is not None:
-                    yield cached[index]
-                    continue
-                futures = [
+
+            def submit(index):
+                seed = int(seeds[index])
+                return [
                     pool.submit(
                         _pool_frontier_shard,
-                        (int(seed), i, int(frontier_shard), walk_length, p, q),
+                        (seed, i, int(frontier_shard), walk_length, p, q),
                     )
                     for i in range(num_shards)
                 ]
+
+            # Keep the shards of the next ``workers + 1`` missing passes
+            # queued, so the pool keeps walking while the consumer works.
+            prime = min(int(workers) + 1, len(missing))
+            in_flight = deque(submit(missing.popleft()) for _ in range(prime))
+            for index in range(num_walks):
+                if cached[index] is not None:
+                    yield cached[index]
+                    continue
+                futures = in_flight.popleft()
                 # Collect in shard order: the stacked pass is then identical
                 # to the serial reference regardless of completion order.
                 matrix = np.vstack([f.result() for f in futures])
+                if missing:
+                    in_flight.append(submit(missing.popleft()))
                 if store is not None:
                     store.save(keys[index], matrix, payloads[index])
                 yield matrix

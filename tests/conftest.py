@@ -1,8 +1,8 @@
 """Shared pytest fixtures: small deterministic graphs and configurations.
 
 Also provides a dependency-free ``@pytest.mark.timeout(seconds)`` guard
-(SIGALRM-based, POSIX main thread only): tests that drive background
-producers and bounded queues must *fail fast* on a deadlock instead of
+(SIGALRM-based, POSIX main thread only): tests that drive process pools,
+subprocesses or service threads must *fail fast* on a deadlock instead of
 hanging the whole suite or a CI job.  On platforms without ``SIGALRM`` the
 marker is a no-op.
 """

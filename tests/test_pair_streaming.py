@@ -5,7 +5,8 @@ The key guarantees under test:
 * ``iter_walk_pairs`` yields the *same pair multiset* as
   ``walks_to_pairs(walk_corpus(...))`` for the same seed, serial and sharded;
 * ``walk_corpus(workers=N)`` is independent of the worker count and equals
-  executing the same derived-seed passes serially;
+  the serial stack of frontier-sharded passes at ``FRONTIER_SHARD`` over the
+  derived pass seeds;
 * the default (materialised) trainer path is untouched — ``ArrayPairSource``
   replays the historical permutation/slice loop exactly;
 * streaming training bounds the peak pair buffer by roughly one chunk;
@@ -19,7 +20,7 @@ import pytest
 from repro.api.registry import make_model
 from repro.graph.graph import Graph
 from repro.graph.random_walk import iter_walk_pairs, walks_to_pairs
-from repro.graph.walk_engine import WalkEngine, derive_pass_seeds
+from repro.graph.walk_engine import FRONTIER_SHARD, WalkEngine, derive_pass_seeds
 from repro.train import ArrayPairSource, SampledBatchSource, StreamingPairSource
 
 
@@ -91,6 +92,19 @@ class TestIterWalkPairs:
         assert chunk.dtype == np.int32
 
 
+def serial_sharded_corpus(engine, num_walks, walk_length, seed, **bias):
+    """The reference: frontier-sharded passes over derived seeds, in order."""
+    seeds = derive_pass_seeds(np.random.default_rng(seed), num_walks)
+    return np.vstack(
+        [
+            engine.frontier_sharded_pass(
+                int(s), walk_length, frontier_shard=FRONTIER_SHARD, **bias
+            )
+            for s in seeds
+        ]
+    )
+
+
 class TestShardedWalkCorpus:
     def test_worker_count_does_not_change_corpus(self, small_graph):
         engine = small_graph.walk_engine()
@@ -100,21 +114,22 @@ class TestShardedWalkCorpus:
 
     def test_sharded_equals_derived_seed_serial(self, small_graph):
         engine = small_graph.walk_engine()
-        sharded = engine.walk_corpus(3, 10, rng=17, workers=2)
-        seeds = derive_pass_seeds(np.random.default_rng(17), 3)
-        serial = np.vstack(
-            [engine.corpus_pass(int(seed), 10) for seed in seeds]
-        )
-        assert np.array_equal(sharded, serial)
+        # Four passes at two workers: the pool refills its look-ahead queue.
+        two = engine.walk_corpus(4, 10, rng=17, workers=2)
+        four = engine.walk_corpus(4, 10, rng=17, workers=4)
+        assert np.array_equal(two, four)
+        assert np.array_equal(two, serial_sharded_corpus(engine, 4, 10, 17))
+        # workers=1 with the same shard size walks the identical corpus.
+        serial = engine.walk_corpus(4, 10, rng=17, frontier_shard=FRONTIER_SHARD)
+        assert np.array_equal(two, serial)
 
     def test_sharded_node2vec_equals_derived_seed_serial(self, small_graph):
         engine = small_graph.walk_engine()
-        sharded = engine.walk_corpus(2, 8, p=0.25, q=4.0, rng=23, workers=2)
-        seeds = derive_pass_seeds(np.random.default_rng(23), 2)
-        serial = np.vstack(
-            [engine.corpus_pass(int(seed), 8, p=0.25, q=4.0) for seed in seeds]
-        )
-        assert np.array_equal(sharded, serial)
+        bias = dict(p=0.25, q=4.0)
+        two = engine.walk_corpus(2, 8, rng=23, workers=2, **bias)
+        four = engine.walk_corpus(2, 8, rng=23, workers=4, **bias)
+        assert np.array_equal(two, four)
+        assert np.array_equal(two, serial_sharded_corpus(engine, 2, 8, 23, **bias))
 
     def test_serial_path_unchanged_by_workers_argument(self, small_graph):
         # workers=1 must keep the historical shared-stream corpus bit-for-bit.

@@ -22,7 +22,6 @@ import pytest
 from repro.api.registry import make_model
 from repro.graph.datasets import load_dataset
 from repro.graph.graph import Graph
-from repro.graph.random_walk import WalkPairChunkFactory
 from repro.graph.storage import (
     ARRAY_FILES,
     GRAPH_FORMAT_VERSION,
@@ -31,7 +30,6 @@ from repro.graph.storage import (
     read_meta,
     storage_fingerprint,
 )
-from repro.train import PrefetchingPairSource, StreamingPairSource
 
 
 @pytest.fixture(scope="module")
@@ -131,29 +129,6 @@ class TestPickling:
         disk2 = disk_graph.walk_engine().walk_corpus(workers=2, **kwargs)
         assert np.array_equal(ram2, disk2)
         assert serial.shape == disk2.shape
-
-    @pytest.mark.timeout(120)
-    def test_prefetch_process_mode_parity(self, ram_graph, disk_graph):
-        def batches(graph, method):
-            factory = WalkPairChunkFactory(
-                graph=graph, num_walks=2, walk_length=8, window_size=3,
-                chunk_walks=40, rng=11,
-            )
-            if method is None:
-                source = StreamingPairSource(factory, batch_size=256)
-                return list(source.batches())
-            with PrefetchingPairSource(
-                factory, batch_size=256, method=method
-            ) as source:
-                got = list(source.batches())
-            assert source.method == method
-            return got
-
-        inline = batches(ram_graph, None)
-        prefetched = batches(disk_graph, "process")
-        assert len(inline) == len(prefetched)
-        for a, b in zip(inline, prefetched):
-            assert np.array_equal(a, b)
 
 
 class TestFrontierSharding:

@@ -5,15 +5,15 @@ plumbing in ``repro/graph/walk_engine.py``):
 
 * **bit-identical replay** — a corpus computed with ``walk_cache`` (cold or
   warm, any mix of hits and misses) equals the uncached corpus seed-for-seed,
-  for every walk discipline: the sequential stream (uniform and node2vec),
-  the derived-seed process pool, and frontier sharding at any shard size;
+  for both walk disciplines: the sequential stream (uniform and node2vec)
+  and frontier sharding at any shard size, serial or on a process pool;
 * **keys are content addresses** — artifacts key on the graph *fingerprint*
   plus the full RNG derivation, so an on-disk replica of a graph hits the
   artifacts its in-RAM twin wrote, while different seeds/params never alias;
 * **defensive reads** — truncated arrays, corrupt or stale manifests are
   misses (recompute + rewrite), never errors;
 * **placement only** — ``walk_cache`` never enters ``cell_key``; training
-  through the streaming/prefetching pipelines, ``run_spec`` and a
+  through the materialised and streaming pipelines, ``run_spec`` and a
   ``ServiceWorker`` produces bit-identical rows and embeddings either way;
 * **concurrent writers are safe** — two processes walking the same corpus
   into one store interleave without corrupting it.
@@ -72,7 +72,7 @@ def _spawn_corpus_writer(root: str, barrier) -> None:
 # ---------------------------------------------------------------------------
 class TestKeysAndResolution:
     def test_corpus_key_is_deterministic_and_payload_sensitive(self):
-        base = {"graph": "f" * 64, "mode": "derived", "seed": 7, "walk_length": 8}
+        base = {"graph": "f" * 64, "mode": "sharded", "seed": 7, "walk_length": 8}
         assert WalkCorpusStore.corpus_key(base) == WalkCorpusStore.corpus_key(
             dict(reversed(list(base.items())))
         )
@@ -301,7 +301,7 @@ class TestCorruption:
 
 
 # ---------------------------------------------------------------------------
-# training-path parity (streaming, prefetching, models)
+# training-path parity (materialised, streaming, models)
 # ---------------------------------------------------------------------------
 class TestTrainingParity:
     KW = dict(
@@ -340,18 +340,6 @@ class TestTrainingParity:
         warm = self.train(
             small_graph, "node2vec", walk_cache=str(tmp_path / "a"), **kwargs
         )
-        np.testing.assert_array_equal(baseline, cached)
-        np.testing.assert_array_equal(baseline, warm)
-
-    @pytest.mark.timeout(120)
-    @pytest.mark.parametrize("method", ["thread", "process"])
-    def test_prefetching_parity(self, small_graph, tmp_path, method):
-        kwargs = dict(pair_prefetch=True, prefetch_method=method)
-        baseline = self.train(small_graph, **kwargs)
-        cached = self.train(
-            small_graph, walk_cache=str(tmp_path / "a"), **kwargs
-        )
-        warm = self.train(small_graph, walk_cache=str(tmp_path / "a"), **kwargs)
         np.testing.assert_array_equal(baseline, cached)
         np.testing.assert_array_equal(baseline, warm)
 
