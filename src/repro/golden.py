@@ -5,8 +5,8 @@ must equal a recompute, and a resumed sweep must equal an uninterrupted one.
 Both guarantees rest on the same foundation — that a (graph, config, seed)
 triple fully determines a model's output, bit for bit.  This module pins
 that foundation: it computes sha256 digests of the embeddings (plus a few
-scalar metrics) of small default ``deepwalk`` / ``node2vec`` / ``sgm`` /
-``advsgm`` runs, and ``tests/test_golden_parity.py`` compares a fresh
+scalar metrics, and the privacy spent by the DP models) of one small run of
+every registered model, and ``tests/test_golden_parity.py`` compares a fresh
 recompute against the committed fixture ``tests/golden/golden_digests.json``.
 
 Regenerate the fixture after an *intentional* numerical change with::
@@ -49,9 +49,10 @@ GOLDEN_BACKEND = "numpy"
 #: Fixed node pairs whose link scores are recorded alongside the digest.
 GOLDEN_SCORE_PAIRS = ((0, 1), (1, 2), (2, 3), (5, 8))
 
-#: The default runs whose outputs are pinned.  Schedules are tiny so the
+#: The pinned runs, one per registered model.  Schedules are tiny so the
 #: whole suite recomputes in seconds, but every model's full training path
-#: (walk engine, samplers, DP accounting for advsgm) is exercised.
+#: (walk engine, samplers, DP accounting for the private models) is
+#: exercised.
 GOLDEN_CASES: Dict[str, Dict[str, Any]] = {
     "deepwalk": {
         "model": "deepwalk",
@@ -84,6 +85,62 @@ GOLDEN_CASES: Dict[str, Dict[str, Any]] = {
         "overrides": {
             "embedding_dim": 16, "num_epochs": 2, "discriminator_steps": 2,
             "generator_steps": 1, "batch_size": 8,
+        },
+    },
+    "advsgm-nodp": {
+        "model": "advsgm-nodp",
+        "epsilon": None,
+        "overrides": {
+            "embedding_dim": 16, "num_epochs": 2, "discriminator_steps": 2,
+            "generator_steps": 1, "batch_size": 8,
+        },
+    },
+    "dpsgm": {
+        "model": "dpsgm",
+        "epsilon": 6.0,
+        "overrides": {
+            "embedding_dim": 16, "num_epochs": 2, "batches_per_epoch": 4,
+            "batch_size": 32,
+        },
+    },
+    "dpasgm": {
+        "model": "dpasgm",
+        "epsilon": 6.0,
+        "overrides": {
+            "embedding_dim": 16, "num_epochs": 2, "batches_per_epoch": 4,
+            "batch_size": 32, "generator_steps": 1,
+        },
+    },
+    "dpggan": {
+        "model": "dpggan",
+        "epsilon": 6.0,
+        "overrides": {
+            "embedding_dim": 16, "num_epochs": 2, "batches_per_epoch": 4,
+            "batch_size": 32,
+        },
+    },
+    "dpgvae": {
+        "model": "dpgvae",
+        "epsilon": 6.0,
+        "overrides": {
+            "feature_dim": 16, "embedding_dim": 16, "num_epochs": 2,
+            "batches_per_epoch": 4, "batch_size": 32,
+        },
+    },
+    "dpar": {
+        "model": "dpar",
+        "epsilon": 6.0,
+        "overrides": {
+            "feature_dim": 16, "embedding_dim": 16, "num_epochs": 2,
+            "batch_size": 64,
+        },
+    },
+    "gap": {
+        "model": "gap",
+        "epsilon": 6.0,
+        "overrides": {
+            "feature_dim": 16, "embedding_dim": 16, "num_epochs": 2,
+            "batch_size": 64,
         },
     },
 }

@@ -1,8 +1,7 @@
 """Golden-parity regression suite: today's bit-for-bit outputs are pinned.
 
 ``tests/golden/golden_digests.json`` records sha256 digests of the
-embeddings (and scalar metrics) of small default deepwalk / node2vec / sgm /
-advsgm runs.  These tests recompute each case from scratch and require exact
+embeddings (and scalar metrics) of one small run of every registered model.  These tests recompute each case from scratch and require exact
 equality — any drift means a numerical behaviour change, which invalidates
 previously cached experiment results and must be intentional.
 
@@ -48,6 +47,12 @@ class TestGoldenParity:
             "scale": golden.GOLDEN_SCALE,
             "seed": golden.GOLDEN_DATASET_SEED,
         }
+
+    def test_every_registered_model_is_pinned(self):
+        from repro.api.registry import list_models
+
+        pinned = {case["model"] for case in golden.GOLDEN_CASES.values()}
+        assert pinned == set(list_models())
 
     @pytest.mark.parametrize("name", sorted(golden.GOLDEN_CASES))
     def test_case_matches_fixture_bit_for_bit(self, name, expected, graph):
