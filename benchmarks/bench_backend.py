@@ -14,19 +14,31 @@ torch-free on the default CI job.
 the configured batch size to ``|E|``), not from the requested batch size, so
 the throughput number never overstates the work done on small graphs.
 
+Each row records a sha256 of the released embedding bytes, so two rows that
+ran the same exact schedule can be checked for bit-identity.  With
+``--baseline-src`` the numpy row is also fitted from another checkout's
+``src/`` (say, the parent commit's) in a subprocess, and the file holds the
+before and after rows side by side.  The output records the CPU count, the
+NumPy version and the git commit of each tree.
+
 Usage::
 
     PYTHONPATH=src python benchmarks/bench_backend.py            # full (50k nodes)
     PYTHONPATH=src python benchmarks/bench_backend.py --quick    # CI smoke
+    PYTHONPATH=src python benchmarks/bench_backend.py --baseline-src ../parent/src
 """
 
 from __future__ import annotations
 
 import argparse
+import hashlib
 import json
 import os
 import platform
 import resource
+import subprocess
+import sys
+import tempfile
 import time
 from pathlib import Path
 
@@ -48,6 +60,35 @@ def build_graph(num_nodes: int, num_edges: int) -> Graph:
 def max_rss_mb() -> float:
     """Process-lifetime peak RSS in MiB (a high-water mark, never decreasing)."""
     return resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024.0
+
+
+def _git_sha(path: Path) -> str | None:
+    """``git describe --dirty`` of the checkout holding ``path``, or ``None``."""
+    try:
+        out = subprocess.run(
+            ["git", "describe", "--always", "--dirty", "--abbrev=40"],
+            capture_output=True, text=True, cwd=path, check=True,
+        )
+    except (OSError, subprocess.CalledProcessError):
+        return None
+    return out.stdout.strip() or None
+
+
+def bench_baseline(src: Path, args: argparse.Namespace) -> dict:
+    """The numpy row of this benchmark fitted from another tree's ``src/``."""
+    with tempfile.TemporaryDirectory() as tmp:
+        output = Path(tmp) / "baseline.json"
+        subprocess.run(
+            [sys.executable, __file__, "--backends", "numpy", "--precisions", "exact",
+             "--nodes", str(args.nodes), "--edges", str(args.edges),
+             "--dim", str(args.dim), "--epochs", str(args.epochs),
+             "--batches-per-epoch", str(args.batches_per_epoch),
+             "--batch-size", str(args.batch_size), "--negatives", str(args.negatives),
+             "--output", str(output)],
+            env={**os.environ, "PYTHONPATH": str(src)}, check=True,
+        )
+        row = json.loads(output.read_text())["results"]["numpy"]
+    return {**row, "backend": "numpy (baseline)", "git_sha": _git_sha(src)}
 
 
 def bench_one(
@@ -84,7 +125,7 @@ def bench_one(
         "pair_updates": pair_updates,
         "pair_updates_per_second": pair_updates / max(1e-9, fit_seconds),
         "max_rss_mb": max_rss_mb(),
-        "embedding_checksum": float(np.linalg.norm(emb)),
+        "embedding_sha256": hashlib.sha256(np.ascontiguousarray(emb).tobytes()).hexdigest(),
     }
 
 
@@ -106,6 +147,9 @@ def main() -> None:
                              "are skipped)")
     parser.add_argument("--quick", action="store_true",
                         help="tiny workload for CI smoke runs")
+    parser.add_argument("--baseline-src", type=Path, default=None,
+                        help="another checkout's src/ directory whose numpy "
+                             "fit is recorded beside this tree's")
     parser.add_argument(
         "--output", type=Path,
         default=Path(__file__).resolve().parent.parent / "BENCH_backend.json",
@@ -142,7 +186,24 @@ def main() -> None:
                   f"{row['pair_updates_per_second']:>12,.0f} pair updates/s  "
                   f"(peak rss {row['max_rss_mb']:,.0f} MiB)")
 
+    if args.baseline_src is not None and "numpy" in results:
+        row = bench_baseline(args.baseline_src.resolve(), args)
+        results[row["backend"]] = row
+        print(f"  {row['backend']:<16} fit {row['fit_seconds']:7.2f}s  "
+              f"{row['pair_updates_per_second']:>12,.0f} pair updates/s")
+
     comparison = {}
+    if "numpy (baseline)" in results:
+        before, after = results["numpy (baseline)"], results["numpy"]
+        comparison["numpy_vs_baseline_fit_speedup"] = (
+            before["fit_seconds"] / max(1e-9, after["fit_seconds"])
+        )
+        comparison["numpy_matches_baseline_sha256"] = (
+            before["embedding_sha256"] == after["embedding_sha256"]
+        )
+        print(f"  numpy speedup over baseline: "
+              f"{comparison['numpy_vs_baseline_fit_speedup']:.2f}x "
+              f"(embeddings identical: {comparison['numpy_matches_baseline_sha256']})")
     exact_torch = next(
         (k for k, r in results.items()
          if k.startswith("torch") and r["precision"] == "exact"),
@@ -182,8 +243,10 @@ def main() -> None:
         },
         "environment": {
             "python": platform.python_version(),
+            "numpy": np.__version__,
             "machine": platform.machine(),
             "cpu_count": os.cpu_count(),
+            "git_sha": _git_sha(Path(__file__).resolve().parent),
         },
         "graph_build_seconds": build_seconds,
         "results": results,

@@ -124,8 +124,11 @@ class Backend(ABC):
     def index_add_(self, target: Array, idx: Any, rows: Array) -> None:
         """In-place scatter-add of ``rows`` into ``target[idx]``.
 
-        Repeated indices accumulate (``np.add.at`` semantics), which is what
-        the skip-gram family's sparse embedding updates rely on.
+        Repeated indices accumulate with ``np.add.at`` semantics: each
+        ``rows[i]`` is added to ``target[idx[i]]`` in the order ``i`` runs,
+        so a row hit by ``g1, g2, ...`` ends as ``((w + g1) + g2) + ...``.
+        The skip-gram family's sparse embedding updates rely on this, and
+        the numpy backend reproduces ``np.add.at``'s bytes exactly.
         """
 
     # ------------------------------------------------------------------
@@ -220,8 +223,23 @@ class Backend(ABC):
     # norm-based row operations (shared by normalisation and DP clipping)
     # ------------------------------------------------------------------
     @abstractmethod
-    def normalize_rows_(self, x: Array, floor: float) -> None:
-        """In-place ``x[i] /= max(||x[i]||_2, floor)`` for every row."""
+    def normalize_rows_(self, x: Array, floor: float, rows: Any = None) -> Any:
+        """In-place ``x[i] /= max(||x[i]||_2, floor)``; returns rows still over.
+
+        Without ``rows`` every row is projected.  ``rows`` names the rows to
+        project instead: an integer index array, or a tuple of them whose
+        union is meant (duplicates allowed, each row is projected once);
+        the other rows are left untouched.  Either way the call returns the
+        projected rows whose norm is still ``> floor`` afterwards (a
+        division can land a hair above ``floor``), as an index array the
+        next call may take back in ``rows``.
+
+        With ``floor == 1`` a row of norm ``<= 1`` is divided by exactly
+        ``1.0``, so projecting every row that may exceed the unit ball (the
+        rows written since the last call plus the previously returned ones)
+        gives the same bytes as projecting them all.  Row norms of a
+        gathered subset equal the full matrix's bit for bit.
+        """
 
     @abstractmethod
     def clip_rows(self, x: Array, max_norm: float) -> Array:

@@ -21,14 +21,24 @@ from repro.privacy.clipping import clip_by_l2_norm, clip_rows_by_l2_norm
 SIGMOID_CLIP = 500.0
 
 
+#: Largest index multiplicity :meth:`NumpyBackend.index_add_` scatters in
+#: unique-index rounds; past it (hub nodes on small graphs) one ``np.add.at``
+#: pass is cheaper than that many rounds.
+_SCATTER_MAX_ROUNDS = 16
+
+
 def stable_sigmoid(x: np.ndarray) -> np.ndarray:
-    """Logistic sigmoid, stable for large positive and negative inputs."""
+    """Logistic sigmoid, stable for large positive and negative inputs.
+
+    ``1 / (1 + exp(-x))`` for ``x >= 0`` and ``exp(x) / (1 + exp(x))``
+    below, without branching: ``-|x|`` is ``-x`` on the first side and
+    ``x`` on the second, so every element runs the same ``exp`` and
+    division as the two-sided formula.
+    """
     x = np.clip(np.asarray(x, dtype=np.float64), -SIGMOID_CLIP, SIGMOID_CLIP)
-    out = np.empty_like(x)
-    pos = x >= 0
-    out[pos] = 1.0 / (1.0 + np.exp(-x[pos]))
-    ex = np.exp(x[~pos])
-    out[~pos] = ex / (1.0 + ex)
+    e = np.exp(-np.abs(x))
+    out = np.where(x >= 0, 1.0, e)
+    out /= 1.0 + e
     return out
 
 
@@ -81,7 +91,42 @@ class NumpyBackend(Backend):
         return x[idx]
 
     def index_add_(self, target: np.ndarray, idx: Any, rows: np.ndarray) -> None:
-        np.add.at(target, np.asarray(idx, dtype=np.int64), rows)
+        # ``np.add.at`` bytes at fancy-indexing speed: a stable sort groups
+        # each row's occurrences in call order, and round r adds every row's
+        # r-th occurrence with one unique-index ``target[u] += g``.  1-D
+        # targets keep ``np.add.at``, whose scalar loop is already fast.
+        idx = np.asarray(idx, dtype=np.int64)
+        if target.ndim == 1:
+            np.add.at(target, idx, rows)
+            return
+        rows = np.asarray(rows)
+        if rows.shape != idx.shape + target.shape[1:]:
+            rows = np.broadcast_to(rows, idx.shape + target.shape[1:])
+        idx = idx.reshape(-1)
+        rows = rows.reshape(idx.shape + target.shape[1:])
+        if idx.size == 0:
+            return
+        order = np.argsort(idx, kind="stable")
+        ordered = idx[order]
+        first = np.empty(idx.size, dtype=bool)
+        first[0] = True
+        np.not_equal(ordered[1:], ordered[:-1], out=first[1:])
+        if ordered[0] < 0:  # -1 and n-1 name one row; leave wrapping to add.at
+            np.add.at(target, idx, rows)
+        elif first.all():
+            target[idx] += rows
+        else:
+            positions = np.arange(idx.size)
+            rank = positions - np.maximum.accumulate(np.where(first, positions, 0))
+            sizes = np.bincount(rank)
+            if sizes.size > _SCATTER_MAX_ROUNDS:
+                np.add.at(target, idx, rows)
+                return
+            by_round = order[np.argsort(rank, kind="stable")]
+            idx, rows = idx[by_round], rows[by_round]
+            stop = np.cumsum(sizes)
+            for lo, hi in zip(stop - sizes, stop):
+                target[idx[lo:hi]] += rows[lo:hi]
 
     # ------------------------------------------------------------------
     # linear algebra
@@ -145,9 +190,19 @@ class NumpyBackend(Backend):
     # ------------------------------------------------------------------
     # norm-based row operations
     # ------------------------------------------------------------------
-    def normalize_rows_(self, x: np.ndarray, floor: float) -> None:
-        norms = np.linalg.norm(x, axis=1, keepdims=True)
-        np.divide(x, np.maximum(norms, floor), out=x)
+    def normalize_rows_(
+        self, x: np.ndarray, floor: float, rows: Any = None
+    ) -> np.ndarray:
+        if rows is not None:
+            parts = rows if isinstance(rows, tuple) else (rows,)
+            rows = np.unique(np.concatenate([np.ravel(np.asarray(r, dtype=np.int64)) for r in parts]))
+        sub = x if rows is None else x[rows]
+        norms = np.linalg.norm(sub, axis=1, keepdims=True)
+        np.divide(sub, np.maximum(norms, floor), out=sub)
+        if rows is not None:
+            x[rows] = sub
+        still = np.linalg.norm(sub, axis=1) > floor
+        return np.flatnonzero(still) if rows is None else rows[still]
 
     def clip_rows(self, x: np.ndarray, max_norm: float) -> np.ndarray:
         return clip_rows_by_l2_norm(x, max_norm)

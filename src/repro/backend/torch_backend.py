@@ -222,9 +222,19 @@ class TorchBackend(Backend):
     # ------------------------------------------------------------------
     # norm-based row operations
     # ------------------------------------------------------------------
-    def normalize_rows_(self, x: "torch.Tensor", floor: float) -> None:
-        norms = torch.linalg.vector_norm(x, dim=1, keepdim=True)
-        x.div_(torch.clamp(norms, min=floor))
+    def normalize_rows_(
+        self, x: "torch.Tensor", floor: float, rows: Any = None
+    ) -> "torch.Tensor":
+        if rows is not None:
+            parts = rows if isinstance(rows, tuple) else (rows,)
+            rows = torch.unique(torch.cat([self._index(r).reshape(-1) for r in parts]))
+        sub = x if rows is None else x[rows]
+        norms = torch.linalg.vector_norm(sub, dim=1, keepdim=True)
+        sub.div_(torch.clamp(norms, min=floor))
+        if rows is not None:
+            x[rows] = sub
+        still = torch.linalg.vector_norm(sub, dim=1) > floor
+        return torch.nonzero(still).reshape(-1) if rows is None else rows[still]
 
     def clip_rows(self, x: "torch.Tensor", max_norm: float) -> "torch.Tensor":
         norms = torch.linalg.vector_norm(x, dim=1)

@@ -116,7 +116,10 @@ class SkipGramModel(EstimatorMixin):
             graph.num_nodes, dim, rng=init_rng, backend=self.backend_
         )
         if self.config.normalize_embeddings:
-            self._normalize()
+            self._dirty = tuple(
+                self.backend_.normalize_rows_(matrix, 1.0)
+                for matrix in (self.w_in, self.w_out)
+            )
         self.sampler = EdgeSampler(
             graph,
             batch_size=self.config.batch_size,
@@ -147,10 +150,21 @@ class SkipGramModel(EstimatorMixin):
         """Released node embeddings (the input vectors ``W_in``), as numpy."""
         return self.backend_.to_numpy(self.w_in)
 
-    def _normalize(self) -> None:
-        """Project every embedding row onto the unit ball (ensures C = 1)."""
-        for matrix in (self.w_in, self.w_out):
-            self.backend_.normalize_rows_(matrix, 1.0)
+    def _normalize(self, touched_in: tuple, touched_out: tuple) -> None:
+        """Project the embedding rows onto the unit ball (ensures C = 1).
+
+        ``touched_in``/``touched_out`` are tuples of the index arrays a step
+        wrote.  Only those rows and the rows the previous projection left
+        a hair above norm 1 (``_dirty``) can lie outside the ball; every
+        other row would be divided by exactly 1.0, so projecting just these
+        gives the bytes of a full projection at O(batch) cost.
+        """
+        self._dirty = tuple(
+            self.backend_.normalize_rows_(matrix, 1.0, rows=(*touched, dirty))
+            for matrix, touched, dirty in zip(
+                (self.w_in, self.w_out), (touched_in, touched_out), self._dirty
+            )
+        )
 
     # ------------------------------------------------------------------
     # loss / gradients
@@ -266,6 +280,7 @@ class SkipGramModel(EstimatorMixin):
                     self.graph.num_nodes,
                 )
             loss = be.skipgram_step(self.w_in, self.w_out, pos, negatives, lr)
+            touched_in, touched_out = (pos[:, 0],), (pos[:, 1], negatives)
         else:
             loss = self.batch_loss(batch)
             grad_in, touched_in, grad_out, touched_out = self._accumulate_gradients(batch)
@@ -274,8 +289,9 @@ class SkipGramModel(EstimatorMixin):
             # historical ``w[touched] += lr * grad[touched]`` update.
             be.index_add_(self.w_in, touched_in, lr * grad_in)
             be.index_add_(self.w_out, touched_out, lr * grad_out)
+            touched_in, touched_out = (touched_in,), (touched_out,)
         if self.config.normalize_embeddings:
-            self._normalize()
+            self._normalize(touched_in, touched_out)
         return loss
 
     def fit(self, graph: Optional[Graph] = None, callbacks=()) -> "SkipGramModel":

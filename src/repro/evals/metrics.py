@@ -49,9 +49,10 @@ def _contingency(labels_a: np.ndarray, labels_b: np.ndarray) -> np.ndarray:
         raise ValueError("labelings must be 1-D arrays of equal length")
     _, a_idx = np.unique(labels_a, return_inverse=True)
     _, b_idx = np.unique(labels_b, return_inverse=True)
-    table = np.zeros((a_idx.max() + 1, b_idx.max() + 1), dtype=np.float64)
-    np.add.at(table, (a_idx, b_idx), 1.0)
-    return table
+    shape = (a_idx.max() + 1, b_idx.max() + 1)
+    # Integer counts are exact in float64, so this equals accumulating 1.0s.
+    counts = np.bincount(a_idx * shape[1] + b_idx, minlength=shape[0] * shape[1])
+    return counts.reshape(shape).astype(np.float64)
 
 
 def mutual_information(labels_true: np.ndarray, labels_pred: np.ndarray) -> float:

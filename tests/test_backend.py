@@ -11,6 +11,8 @@ import json
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
+from hypothesis.extra import numpy as hnp
 
 import repro
 from repro.api.spec import ExperimentCell, ModelSpec
@@ -227,6 +229,144 @@ class TestNumpyBackendOps:
         assert np.array_equal(
             draws, np.random.default_rng(42).normal(0.0, 2.0, size=(3, 2))
         )
+
+
+# ---------------------------------------------------------------------------
+# the numpy SGD-step kernels are byte-exact against their plain formulations
+# ---------------------------------------------------------------------------
+def _masked_sigmoid(x):
+    """The two-sided sigmoid through boolean masks (the reference formula)."""
+    from repro.backend.numpy_backend import SIGMOID_CLIP
+
+    x = np.clip(np.asarray(x, dtype=np.float64), -SIGMOID_CLIP, SIGMOID_CLIP)
+    out = np.empty_like(x)
+    pos = x >= 0
+    out[pos] = 1.0 / (1.0 + np.exp(-x[pos]))
+    ex = np.exp(x[~pos])
+    out[~pos] = ex / (1.0 + ex)
+    return out
+
+
+@st.composite
+def _scatters(draw, multiplicity=None):
+    """``(target, idx, rows)`` with 1-D or 2-D targets and any index pattern.
+
+    ``multiplicity`` pins the largest index multiplicity (one hub row
+    repeated that often among otherwise random indices).
+    """
+    num_rows = draw(st.integers(1, 30))
+    width = draw(st.sampled_from([(), (1,), (3,), (7,)]))
+    values = st.floats(-1e6, 1e6, allow_nan=False, allow_subnormal=False)
+    target = draw(hnp.arrays(np.float64, (num_rows,) + width, elements=values))
+    idx = draw(hnp.arrays(np.int64, st.integers(0, 60), elements=st.integers(0, num_rows - 1)))
+    if multiplicity is not None:
+        hub = draw(st.integers(0, num_rows - 1))
+        idx = np.concatenate([idx[idx != hub][: 3 * num_rows], np.full(multiplicity, hub)])
+        idx = idx[draw(st.permutations(range(idx.size)))]
+    rows = draw(hnp.arrays(np.float64, idx.shape + width, elements=values))
+    return target, idx, rows
+
+
+def _assert_scatter_matches_add_at(target, idx, rows):
+    expected = target.copy()
+    np.add.at(expected, idx, rows)
+    NUMPY_BACKEND.index_add_(target, idx, rows)
+    assert target.tobytes() == expected.tobytes()
+
+
+class TestNumpyKernelExactness:
+    @settings(max_examples=200, deadline=None)
+    @given(_scatters())
+    def test_index_add_equals_add_at(self, case):
+        _assert_scatter_matches_add_at(*case)
+
+    @settings(max_examples=60, deadline=None)
+    @given(st.data())
+    def test_index_add_equals_add_at_around_the_round_cutoff(self, data):
+        from repro.backend.numpy_backend import _SCATTER_MAX_ROUNDS
+
+        multiplicity = data.draw(
+            st.sampled_from([2, _SCATTER_MAX_ROUNDS, _SCATTER_MAX_ROUNDS + 1, 4 * _SCATTER_MAX_ROUNDS])
+        )
+        _assert_scatter_matches_add_at(*data.draw(_scatters(multiplicity)))
+
+    @pytest.mark.parametrize("width", [(), (4,)])
+    @pytest.mark.parametrize(
+        "idx",
+        [[], [3, 0, 5, 1], [2, 2, 2, 0, 2, 0, 1, 2], [4] * 40 + [1, 4]],
+        ids=["empty", "unique", "duplicate-heavy", "above-cutoff"],
+    )
+    def test_index_add_named_patterns(self, idx, width):
+        rng = np.random.default_rng(len(idx))
+        idx = np.array(idx, dtype=np.int64)
+        # Magnitudes spread over many binades make the sums order-sensitive.
+        scale = 10.0 ** rng.integers(-8, 8, size=idx.shape + width)
+        rows = rng.normal(size=idx.shape + width) * scale
+        _assert_scatter_matches_add_at(rng.normal(size=(6,) + width), idx, rows)
+
+    def test_index_add_accepts_a_2d_index(self):
+        rng = np.random.default_rng(3)
+        idx = rng.integers(0, 5, size=(4, 3))
+        _assert_scatter_matches_add_at(rng.normal(size=(5, 2)), idx, rng.normal(size=(4, 3, 2)))
+
+    @settings(max_examples=200, deadline=None)
+    @given(hnp.arrays(np.float64, st.integers(0, 40), elements=st.floats(allow_nan=False)))
+    def test_sigmoid_equals_masked_formula(self, x):
+        from repro.backend.numpy_backend import stable_sigmoid
+
+        assert stable_sigmoid(x).tobytes() == _masked_sigmoid(x).tobytes()
+
+    def test_sigmoid_edge_values(self):
+        from repro.backend.numpy_backend import SIGMOID_CLIP, stable_sigmoid
+
+        edges = np.array([
+            0.0, -0.0, np.inf, -np.inf, SIGMOID_CLIP, -SIGMOID_CLIP,
+            np.nextafter(SIGMOID_CLIP, np.inf), 5e-324, -5e-324, 36.7, -36.7, 745.2, -745.2,
+        ])
+        assert stable_sigmoid(edges).tobytes() == _masked_sigmoid(edges).tobytes()
+        assert np.isnan(stable_sigmoid(np.array([np.nan]))).all()
+        assert stable_sigmoid(np.float64(-2.0)).tobytes() == _masked_sigmoid(-2.0).tobytes()
+
+    def test_normalize_subset_returns_rows_still_over_floor(self):
+        rng = np.random.default_rng(4)
+        x = rng.normal(scale=3.0, size=(50, 8))
+        full = x.copy()
+        still = NUMPY_BACKEND.normalize_rows_(full, 1.0)
+        np.testing.assert_array_equal(still, np.flatnonzero(np.linalg.norm(full, axis=1) > 1.0))
+        rows = np.array([7, 3, 3, 40])
+        part = x.copy()
+        over = NUMPY_BACKEND.normalize_rows_(part, 1.0, rows=(rows[:2], rows[2:]))
+        untouched = np.setdiff1d(np.arange(50), rows)
+        assert part[untouched].tobytes() == x[untouched].tobytes()
+        assert part[rows].tobytes() == full[rows].tobytes()
+        np.testing.assert_array_equal(over, np.intersect1d(rows, still))
+
+    def test_dirty_row_projection_equals_full_projection(self, small_graph, monkeypatch):
+        from repro.backend.numpy_backend import NumpyBackend
+        from repro.embedding.skipgram import SkipGramConfig, SkipGramModel
+
+        cfg = SkipGramConfig(embedding_dim=16, batch_size=32, num_epochs=20, batches_per_epoch=10)
+        project = NumpyBackend.normalize_rows_
+        dirty_sizes = []
+
+        def recording(self, x, floor, rows=None):
+            still = project(self, x, floor, rows)
+            dirty_sizes.append(still.size)
+            return still
+
+        def full_only(self, x, floor, rows=None):
+            return project(self, x, floor)
+
+        monkeypatch.setattr(NumpyBackend, "normalize_rows_", recording)
+        dirty = SkipGramModel(small_graph, cfg, rng=3).fit()
+        monkeypatch.setattr(NumpyBackend, "normalize_rows_", full_only)
+        full = SkipGramModel(small_graph, cfg, rng=3).fit()
+        assert len(dirty_sizes) == 2 + 2 * 200
+        # Some rows re-projected to a norm a hair above 1, so the carried
+        # dirty set did real work.
+        assert max(dirty_sizes) > 0
+        for a, b in ((dirty.w_in, full.w_in), (dirty.w_out, full.w_out)):
+            assert a.tobytes() == b.tobytes()
 
 
 # ---------------------------------------------------------------------------

@@ -2,7 +2,10 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
+from hypothesis.extra import numpy as hnp
 
+from repro.evals import metrics
 from repro.evals.clustering import AffinityPropagation, NodeClusteringTask
 from repro.evals.link_prediction import LinkPredictionTask
 from repro.evals.metrics import (
@@ -76,6 +79,36 @@ class TestMutualInformation:
     def test_length_mismatch(self):
         with pytest.raises(ValueError):
             mutual_information(np.zeros(3), np.zeros(4))
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        st.integers(1, 300).flatmap(
+            lambda n: st.tuples(
+                hnp.arrays(np.int64, n, elements=st.integers(-3, 12)),
+                hnp.arrays(np.int64, n, elements=st.integers(0, 40)),
+            )
+        )
+    )
+    def test_contingency_equals_add_at_construction(self, labelings):
+        def add_at_contingency(labels_a, labels_b):
+            _, a_idx = np.unique(labels_a, return_inverse=True)
+            _, b_idx = np.unique(labels_b, return_inverse=True)
+            table = np.zeros((a_idx.max() + 1, b_idx.max() + 1), dtype=np.float64)
+            np.add.at(table, (a_idx, b_idx), 1.0)
+            return table
+
+        a, b = labelings
+        table = metrics._contingency(a, b)
+        expected = add_at_contingency(a, b)
+        assert table.dtype == expected.dtype
+        assert table.tobytes() == expected.tobytes() and table.shape == expected.shape
+        values = (mutual_information(a, b), normalized_mutual_information(a, b))
+        original = metrics._contingency
+        metrics._contingency = add_at_contingency
+        try:
+            assert values == (mutual_information(a, b), normalized_mutual_information(a, b))
+        finally:
+            metrics._contingency = original
 
 
 class TestAffinityPropagation:
