@@ -1,10 +1,13 @@
 """The default NumPy compute backend — bit-for-bit the historical code.
 
-Every operation here is the *exact* numpy expression the models used before
-the backend seam existed (the stable activation implementations moved here
-from :mod:`repro.nn.functional`, which now delegates back).  ``asarray`` /
-``to_numpy`` are identities for float64 arrays, so routing the models
-through this backend changes no bytes: the golden-parity suite pins that.
+Every operation here returns the *exact* bytes of the numpy expression the
+models used before the backend seam existed (the stable activation
+implementations moved here from :mod:`repro.nn.functional`, which now
+delegates back); the sigmoid, the scatter-add and the row projection reach
+those bytes by cheaper routes, each tested against the plain formula in
+``tests/test_backend.py``.  ``asarray`` / ``to_numpy`` are identities for
+float64 arrays, so routing the models through this backend changes no
+bytes: the golden-parity suite pins that.
 """
 
 from __future__ import annotations
@@ -21,10 +24,10 @@ from repro.privacy.clipping import clip_by_l2_norm, clip_rows_by_l2_norm
 SIGMOID_CLIP = 500.0
 
 
-#: Largest index multiplicity :meth:`NumpyBackend.index_add_` scatters in
-#: unique-index rounds; past it (hub nodes on small graphs) one ``np.add.at``
-#: pass is cheaper than that many rounds.
-_SCATTER_MAX_ROUNDS = 16
+#: Fewest rows a unique-index round of :meth:`NumpyBackend.index_add_` must
+#: hold to be worth its fancy-index pass; smaller rounds (the later
+#: occurrences of hub rows) go through one ``np.add.at`` call instead.
+_SCATTER_MIN_ROUND = 16
 
 
 def stable_sigmoid(x: np.ndarray) -> np.ndarray:
@@ -91,10 +94,13 @@ class NumpyBackend(Backend):
         return x[idx]
 
     def index_add_(self, target: np.ndarray, idx: Any, rows: np.ndarray) -> None:
-        # ``np.add.at`` bytes at fancy-indexing speed: a stable sort groups
-        # each row's occurrences in call order, and round r adds every row's
-        # r-th occurrence with one unique-index ``target[u] += g``.  1-D
-        # targets keep ``np.add.at``, whose scalar loop is already fast.
+        # ``np.add.at`` bytes at fancy-indexing speed.  A stable sort lines
+        # up each row's occurrences in call order; round r adds every row's
+        # r-th occurrence with one unique-index ``target[u] += g``.  Rounds
+        # only shrink, and once one holds too few rows to pay for its pass,
+        # the rest (later occurrences of the busiest rows) go through
+        # ``np.add.at`` in call order, as do 1-D targets, whose scalar
+        # ``np.add.at`` loop is already fast.
         idx = np.asarray(idx, dtype=np.int64)
         if target.ndim == 1:
             np.add.at(target, idx, rows)
@@ -104,29 +110,21 @@ class NumpyBackend(Backend):
             rows = np.broadcast_to(rows, idx.shape + target.shape[1:])
         idx = idx.reshape(-1)
         rows = rows.reshape(idx.shape + target.shape[1:])
-        if idx.size == 0:
-            return
         order = np.argsort(idx, kind="stable")
-        ordered = idx[order]
-        first = np.empty(idx.size, dtype=bool)
-        first[0] = True
-        np.not_equal(ordered[1:], ordered[:-1], out=first[1:])
-        if ordered[0] < 0:  # -1 and n-1 name one row; leave wrapping to add.at
+        keys = idx[order]
+        if keys.size and keys[0] < 0:  # -1 and n-1 name one row
             np.add.at(target, idx, rows)
-        elif first.all():
-            target[idx] += rows
-        else:
-            positions = np.arange(idx.size)
-            rank = positions - np.maximum.accumulate(np.where(first, positions, 0))
-            sizes = np.bincount(rank)
-            if sizes.size > _SCATTER_MAX_ROUNDS:
-                np.add.at(target, idx, rows)
-                return
-            by_round = order[np.argsort(rank, kind="stable")]
-            idx, rows = idx[by_round], rows[by_round]
-            stop = np.cumsum(sizes)
-            for lo, hi in zip(stop - sizes, stop):
-                target[idx[lo:hi]] += rows[lo:hi]
+            return
+        while order.size:
+            first = np.empty(order.size, dtype=bool)
+            first[0] = True
+            np.not_equal(keys[1:], keys[:-1], out=first[1:])
+            if np.count_nonzero(first) < _SCATTER_MIN_ROUND:
+                break
+            target[keys[first]] += rows[order[first]]
+            order, keys = order[~first], keys[~first]
+        if order.size:  # still grouped by row, each row's adds in call order
+            np.add.at(target, keys, rows[order])
 
     # ------------------------------------------------------------------
     # linear algebra
