@@ -297,8 +297,9 @@ class TestNumpyKernelExactness:
             list(range(40)),
             list(range(20)) * 3,
             list(range(20)) + [4] * 40,
+            list(range(-20, 20)) + [63, -1],
         ],
-        ids=["empty", "unique-small", "unique", "duplicate-rounds", "hub-above-cutoff"],
+        ids=["empty", "unique-small", "unique", "duplicate-rounds", "hub", "negative"],
     )
     def test_index_add_named_patterns(self, pattern, width):
         rng = np.random.default_rng(len(pattern))
