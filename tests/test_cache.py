@@ -164,6 +164,27 @@ class TestCellKey:
         assert store.get(mutated) is None
         assert store.stats.misses == 1
 
+    @pytest.mark.parametrize("changes,digest", [
+        ({}, "56c8db8baf8e9bdb423b1ae6768792e33b502b205c3cef706cf57f7e631f7e28"),
+        ({"backend": "torch:cpu:fast"},
+         "328f2d0c3ffd619f4b25ff14a40137b5ff0e87f030deba808b3a352154eaf1d2"),
+        ({"model": ModelSpec(
+            "deepwalk", overrides={"num_walks": 1, "walk_cache": "/tmp/artifacts"}
+        ), "epsilon": None},
+         "0f232bafeef2e5688e032a7370f921fa336186a837d2c16e15160cff2e9948ad"),
+    ], ids=["numpy-default", "torch-fast", "deepwalk-walk-cache-override"])
+    def test_pinned_key_literals(self, changes, digest, monkeypatch):
+        # Literal digests: any change to the canonical form or to the fields
+        # a cell hashes shows up here, so cached results can never silently
+        # become unreachable.  The torch cell is pure string work.
+        monkeypatch.delenv("REPRO_BACKEND", raising=False)
+        fields = dict(
+            task="link_prediction", dataset="ppi", model=ModelSpec("advsgm"),
+            epsilon=6.0, repeat=0, seed=2025,
+        )
+        fields.update(changes)
+        assert cell_key(ExperimentCell(**fields)) == digest
+
     def test_label_is_part_of_the_key(self):
         # The cached row records the display label, so a different label is
         # a different (row-producing) cell even if the numbers would agree.

@@ -197,3 +197,74 @@ class TestServiceCli:
         assert proc.returncode != 0
         assert "cannot" in proc.stderr
         assert "Traceback" not in proc.stderr
+
+
+#: Every subcommand's options and their defaults (positionals by dest).
+#: Walk-cache triple, shared by the commands that train.
+_WALK_CACHE = {"--walk-cache": False, "--walk-cache-dir": None, "--no-walk-cache": False}
+PINNED_OPTIONS = {
+    "backends": {"action": None},
+    "cache": {"action": None, "--cache-dir": None, "--json": None, "--artifacts": False},
+    "datasets": {"action": None},
+    "evaluate": {
+        "--model": None, "--dataset": None, "--task": "link_prediction",
+        "--epsilon": None, "--preset": "quick", "--scale": None, "--seed": None,
+        "--repeat": 0, "--backend": None, "--device": None, "--precision": None,
+        "--on-disk": False, **_WALK_CACHE, "--json": None,
+    },
+    "experiment": {
+        "name": None, "--preset": "quick", "--dataset": None, "--models": None,
+        "--epsilons": None, "--workers": 1, "--cache-dir": None,
+        "--resume": False, "--force": False, "--backend": None, "--device": None,
+        "--precision": None, "--on-disk": False, **_WALK_CACHE, "--json": None,
+    },
+    "golden": {"--update": False, "--check": False, "--relaxed": False, "--path": None},
+    "graph build": {
+        "--dataset": None, "--edges": None, "--out": None, "--scale": 1.0,
+        "--seed": None, "--num-nodes": None, "--name": None,
+        "--chunk-edges": None, "--drop-self-loops": False, "--force": False,
+    },
+    "graph info": {"path": None, "--verify": False, "--json": None},
+    "models": {"action": None},
+    "serve": {
+        "--host": "127.0.0.1", "--port": 8321, "--cache-dir": None,
+        "--lease-seconds": 60.0, "--max-attempts": 3, "--no-embeddings": False,
+        "--verbose": False,
+    },
+    "status": {"spec_id": None, "--server": None, "--json": None},
+    "submit": {"spec": None, "--server": None, "--json": None},
+    "train": {
+        "--model": None, "--dataset": None, "--epsilon": None, "--scale": 1.0,
+        "--seed": 2025, "--set": None, "--stream-pairs": False,
+        "--chunk-walks": None, "--walk-workers": None, "--frontier-shard": None,
+        "--on-disk": False, **_WALK_CACHE, "--backend": None, "--device": None,
+        "--precision": None, "--out": None,
+    },
+    "worker": {
+        "--server": None, "--name": None, "--poll-interval": 1.0,
+        "--max-cells": None, "--drain": False, "--lease-seconds": None,
+        **_WALK_CACHE,
+    },
+}
+
+
+def parser_options(parser, prefix=""):
+    """``{subcommand: {option: default}}`` read off an argparse tree."""
+    import argparse
+
+    found, own = {}, {}
+    for action in parser._actions:
+        if isinstance(action, argparse._SubParsersAction):
+            for name, child in action.choices.items():
+                found.update(parser_options(child, f"{prefix}{name} "))
+        elif not isinstance(action, argparse._HelpAction):
+            own["/".join(action.option_strings) or action.dest] = action.default
+    if prefix and own:
+        found[prefix.strip()] = own
+    return found
+
+
+def test_cli_options_and_defaults_are_pinned():
+    from repro.cli import build_parser
+
+    assert parser_options(build_parser()) == PINNED_OPTIONS
