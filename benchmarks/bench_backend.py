@@ -95,13 +95,13 @@ def bench_one(
     backend: str, precision: str, graph: Graph, args: argparse.Namespace
 ) -> dict:
     """Fit sgm on ``graph`` under ``backend``/``precision``; the timing row."""
+    spec = f"{backend}:{precision}"
     fit_start = time.perf_counter()
     model = make_model(
         "sgm",
         graph=graph,
         rng=2025,
-        backend=backend,
-        precision=precision,
+        backend=spec,
         embedding_dim=args.dim,
         num_epochs=args.epochs,
         batches_per_epoch=args.batches_per_epoch,
@@ -119,7 +119,7 @@ def bench_one(
     )
     emb = model.embeddings_
     return {
-        "backend": canonical_backend_spec(backend, precision=precision),
+        "backend": canonical_backend_spec(spec),
         "precision": precision,
         "fit_seconds": fit_seconds,
         "pair_updates": pair_updates,

@@ -38,7 +38,7 @@ import tempfile
 import time
 from pathlib import Path
 
-from repro.api import ExperimentSpec, ModelSpec
+from repro.api import ExperimentSpec, ModelSpec, Placement
 from repro.cache import WalkCorpusStore
 from repro.cache.artifacts import WALK_CACHE_ENV
 from repro.experiments.runners import run_spec
@@ -61,7 +61,7 @@ def instrument_walks() -> None:
     walk_engine.WalkEngine.node2vec_walks = timed
 
 
-def build_spec(args: argparse.Namespace, walk_cache) -> ExperimentSpec:
+def build_spec(args: argparse.Namespace) -> ExperimentSpec:
     # Biased (p/q) walks with a deliberately cheap SGD configuration (narrow
     # window, one negative, large batches), so the corpus cost the cache
     # removes is a visible fraction of each cell, not noise under training.
@@ -88,7 +88,6 @@ def build_spec(args: argparse.Namespace, walk_cache) -> ExperimentSpec:
         repeats=1,
         base_seed=2025,
         dataset_scale=args.scale,
-        walk_cache=walk_cache,
     )
 
 
@@ -96,7 +95,7 @@ def run_mode(args: argparse.Namespace, walk_cache) -> tuple:
     WALK["seconds"] = 0.0
     WALK["passes"] = 0
     start = time.perf_counter()
-    rows = run_spec(build_spec(args, walk_cache))
+    rows = run_spec(build_spec(args), placement=Placement(walk_cache=walk_cache))
     total = time.perf_counter() - start
     return rows, {
         "total_seconds": round(total, 4),

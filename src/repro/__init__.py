@@ -65,6 +65,7 @@ from repro.api import (
     ExperimentSpec,
     GraphEmbedder,
     ModelSpec,
+    Placement,
     get_entry,
     list_models,
     make_model,
@@ -115,6 +116,7 @@ __all__ = [
     "ExperimentCell",
     "ExperimentSpec",
     "ModelSpec",
+    "Placement",
     "ResultStore",
     "cell_key",
     "get_entry",
@@ -129,7 +131,8 @@ def run_spec(spec, workers: int = 1, **kwargs):
     """Run an :class:`ExperimentSpec`; see :func:`repro.experiments.runners.run_spec`.
 
     Imported lazily so ``import repro`` stays light.  ``cache=``, ``resume=``,
-    ``force=`` and ``store_embeddings=`` pass through to the runner.
+    ``force=``, ``store_embeddings=`` and ``placement=`` pass through to the
+    runner.
     """
     from repro.experiments.runners import run_spec as _run_spec
 

@@ -11,7 +11,8 @@ Three pieces turn the library's eleven bespoke trainers into one surface:
 * :class:`ExperimentSpec` — a declarative, serialisable (dataset x model x
   epsilon x repeat) grid whose cells carry their own derived seeds, consumed
   by :func:`repro.experiments.runners.run_spec` serially or across a process
-  pool.
+  pool; a :class:`Placement` (on-disk graphs, walk-corpus cache) travels
+  beside it and never changes a result.
 """
 
 from repro.api.estimator import EstimatorMixin, GraphEmbedder
@@ -22,7 +23,13 @@ from repro.api.registry import (
     make_model,
     register_model,
 )
-from repro.api.spec import SEED_STRIDE, ExperimentCell, ExperimentSpec, ModelSpec
+from repro.api.spec import (
+    SEED_STRIDE,
+    ExperimentCell,
+    ExperimentSpec,
+    ModelSpec,
+    Placement,
+)
 
 __all__ = [
     "EstimatorMixin",
@@ -35,5 +42,6 @@ __all__ = [
     "ExperimentCell",
     "ExperimentSpec",
     "ModelSpec",
+    "Placement",
     "SEED_STRIDE",
 ]

@@ -180,9 +180,7 @@ def make_model(
     epsilon: Optional[float] = None,
     graph=None,
     rng: RngLike = None,
-    backend: Optional[str] = None,
-    device: Optional[str] = None,
-    precision: Optional[str] = None,
+    backend: Any = None,
     **overrides: Any,
 ):
     """Construct a registered estimator by name.
@@ -200,12 +198,12 @@ def make_model(
         unbound — pass the graph to ``fit(graph)`` instead.
     rng:
         Seed or generator forwarded to the model.
-    backend / device / precision:
-        Compute backend request, shorthand for the ``backend`` / ``device``
-        / ``precision`` config fields every registered model carries
-        (``"numpy"`` default, ``"torch"``/``"torch:cuda"`` optional;
-        precision ``"exact"`` default or ``"fast"`` for the float32
-        device-resident path — see :mod:`repro.backend`).
+    backend:
+        Compute backend request, shorthand for the ``backend`` config field
+        every registered model carries: a spec string
+        ``name[:device][:precision]`` (``"numpy"`` default, ``"torch"``,
+        ``"torch:cuda:fast"`` for the float32 device-resident path) or a
+        ``Backend`` instance — see :mod:`repro.backend`.
     **overrides:
         Config dataclass fields to override (validated against the model's
         config class so typos fail fast).
@@ -216,11 +214,7 @@ def make_model(
     """
     entry = get_entry(name)
     if backend is not None:
-        overrides = {**overrides, "backend": str(backend)}
-    if device is not None:
-        overrides = {**overrides, "device": str(device)}
-    if precision is not None:
-        overrides = {**overrides, "precision": str(precision)}
+        overrides = {**overrides, "backend": backend}
     field_names = {f.name for f in dataclasses.fields(entry.config_cls)}
     unknown = set(overrides) - field_names
     if unknown:

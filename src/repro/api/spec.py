@@ -120,6 +120,38 @@ class ModelSpec:
 
 
 @dataclass(frozen=True)
+class Placement:
+    """Where a run's data lives, never what it computes.
+
+    A placement travels *beside* a cell or spec (``run_spec(spec,
+    placement=...)``, ``ServiceWorker(placement=...)``), never inside one, so
+    it cannot enter a cell key or a spec id: every value of it yields
+    bit-identical rows and embeddings (pinned in tests).
+
+    Attributes
+    ----------
+    on_disk:
+        Load registry datasets as memory-mapped on-disk graphs
+        (``load_dataset(..., on_disk=True)``, materialised once under the
+        graph cache) instead of in RAM.
+    walk_cache:
+        Derived-artifact cache for walk corpora (``True`` for the default
+        artifact directory, a directory path, ``False`` to force-disable,
+        ``None`` to defer to ``$REPRO_WALK_CACHE``).  Cells sharing a graph
+        and walk parameters then compute each corpus pass once and replay it
+        everywhere else.  Models without a walk corpus ignore it.
+    """
+
+    on_disk: bool = False
+    walk_cache: Union[bool, str, None] = None
+
+    def __post_init__(self) -> None:
+        object.__setattr__(self, "on_disk", bool(self.on_disk))
+        if self.walk_cache is not None and not isinstance(self.walk_cache, bool):
+            object.__setattr__(self, "walk_cache", str(self.walk_cache))
+
+
+@dataclass(frozen=True)
 class ExperimentCell:
     """One independent (dataset, model, epsilon, repeat) unit of work.
 
@@ -139,11 +171,7 @@ class ExperimentCell:
     dataset_seed: Optional[int] = None
     test_fraction: float = 0.1
     backend: Optional[str] = None
-    device: Optional[str] = None
-    precision: Optional[str] = None
-    on_disk: bool = False
     graph_path: Optional[str] = None
-    walk_cache: Union[bool, str, None] = None
 
     def __post_init__(self) -> None:
         if self.task not in TASKS:
@@ -165,23 +193,15 @@ class ExperimentCell:
         object.__setattr__(self, "test_fraction", float(self.test_fraction))
         if self.backend is not None:
             object.__setattr__(self, "backend", str(self.backend))
-        if self.device is not None:
-            object.__setattr__(self, "device", str(self.device))
-        if self.precision is not None:
-            object.__setattr__(self, "precision", str(self.precision))
-        object.__setattr__(self, "on_disk", bool(self.on_disk))
         if self.graph_path is not None:
             object.__setattr__(self, "graph_path", str(self.graph_path))
-        if self.walk_cache is not None and not isinstance(self.walk_cache, bool):
-            object.__setattr__(self, "walk_cache", str(self.walk_cache))
 
     def to_dict(self) -> Dict[str, Any]:
         """Plain-data form (JSON-able)."""
         data = {f: getattr(self, f) for f in (
             "task", "dataset", "epsilon", "repeat", "seed",
             "dataset_scale", "dataset_seed", "test_fraction",
-            "backend", "device", "precision", "on_disk", "graph_path",
-            "walk_cache",
+            "backend", "graph_path",
         )}
         data["model"] = self.model.to_dict()
         return data
@@ -219,29 +239,20 @@ class ExperimentSpec:
         ``base_seed`` (the historical runners' convention).
     test_fraction:
         Held-out edge fraction for link prediction.
-    backend / device / precision:
-        Compute backend every cell of the grid trains on (``None`` defers to
-        each model's config and then the ambient default — see
-        :mod:`repro.backend`), its device, and its precision mode
-        (``"exact"`` / ``"fast"``).  Carried per cell so a worker process,
-        or a remote runner reading the cell from a cache manifest,
-        reproduces the same placement and arithmetic.
-    on_disk:
-        Load every dataset as a memory-mapped on-disk graph
-        (``load_dataset(..., on_disk=True)``) instead of in RAM.  The arrays
-        are bit-identical either way, and cache keys are unaffected.
+    backend:
+        Compute backend spec ``name[:device][:precision]`` every cell of the
+        grid trains on (``None`` defers to each model's config and then the
+        ambient default — see :mod:`repro.backend`).  Carried per cell so a
+        worker process, or a remote runner reading the cell from a cache
+        manifest, reproduces the same device and arithmetic.
     graph_path:
         Path to a pre-built on-disk graph directory used *instead of* the
         dataset registry (the ``datasets`` entry then only labels the runs).
         The graph's content fingerprint is hashed into every cell key, so
         two different graphs submitted under one name never alias.
-    walk_cache:
-        Derived-artifact cache for walk corpora (``True`` for the default
-        artifact directory, a directory path, ``False`` to force-disable,
-        ``None`` to defer to ``$REPRO_WALK_CACHE``).  Cells sharing a graph
-        and walk parameters then compute each corpus pass once and replay it
-        everywhere else.  Like ``on_disk``, a placement knob: results are
-        bit-identical and cache keys are unaffected.
+
+    Where the data lives (on-disk graphs, the walk-corpus cache) is not part
+    of the spec: pass a :class:`Placement` to the runner instead.
     """
 
     task: str
@@ -254,11 +265,7 @@ class ExperimentSpec:
     dataset_seed: Optional[int] = field(default=None)
     test_fraction: float = 0.1
     backend: Optional[str] = None
-    device: Optional[str] = None
-    precision: Optional[str] = None
-    on_disk: bool = False
     graph_path: Optional[str] = None
-    walk_cache: Union[bool, str, None] = None
 
     def __post_init__(self) -> None:
         if self.task not in TASKS:
@@ -288,13 +295,6 @@ class ExperimentSpec:
             object.__setattr__(self, "dataset_seed", self.base_seed)
         if self.backend is not None:
             object.__setattr__(self, "backend", str(self.backend))
-        if self.device is not None:
-            object.__setattr__(self, "device", str(self.device))
-        if self.precision is not None:
-            object.__setattr__(self, "precision", str(self.precision))
-        object.__setattr__(self, "on_disk", bool(self.on_disk))
-        if self.walk_cache is not None and not isinstance(self.walk_cache, bool):
-            object.__setattr__(self, "walk_cache", str(self.walk_cache))
         if self.graph_path is not None:
             object.__setattr__(self, "graph_path", str(self.graph_path))
             if len(self.datasets) > 1:
@@ -326,11 +326,7 @@ class ExperimentSpec:
                                 dataset_seed=self.dataset_seed,
                                 test_fraction=self.test_fraction,
                                 backend=self.backend,
-                                device=self.device,
-                                precision=self.precision,
-                                on_disk=self.on_disk,
                                 graph_path=self.graph_path,
-                                walk_cache=self.walk_cache,
                             )
                         )
         return tuple(out)
@@ -353,11 +349,7 @@ class ExperimentSpec:
             "dataset_seed": self.dataset_seed,
             "test_fraction": self.test_fraction,
             "backend": self.backend,
-            "device": self.device,
-            "precision": self.precision,
-            "on_disk": self.on_disk,
             "graph_path": self.graph_path,
-            "walk_cache": self.walk_cache,
         }
 
     @classmethod

@@ -27,7 +27,7 @@ import numpy as np
 
 from repro.api.estimator import EstimatorMixin
 from repro.api.registry import register_model
-from repro.backend import get_backend
+from repro.backend import coerce_backend_spec, get_backend
 from repro.graph.graph import Graph
 from repro.nn.init import normal_init, xavier_uniform
 from repro.privacy.accountant import RdpAccountant
@@ -51,16 +51,9 @@ class GAPConfig:
     epsilon: float = 6.0
     delta: float = 1e-5
     backend: Optional[str] = None
-    device: Optional[str] = None
-    precision: Optional[str] = None
 
     def __post_init__(self) -> None:
-        if self.backend is not None:
-            self.backend = str(self.backend)
-        if self.device is not None:
-            self.device = str(self.device)
-        if self.precision is not None:
-            self.precision = str(self.precision)
+        self.backend = coerce_backend_spec(self.backend)
         for name in (
             "feature_dim",
             "embedding_dim",
@@ -102,9 +95,7 @@ class GAP(EstimatorMixin):
     def _setup(self, graph: Graph) -> None:
         """Bind ``graph``: split the seed stream and calibrate the noise."""
         self.graph = graph
-        self.backend_ = get_backend(
-            self.config.backend, self.config.device, self.config.precision
-        )
+        self.backend_ = get_backend(self.config.backend)
         feat_rng, noise_rng, weight_rng, train_rng = spawn_rngs(self._rng, 4)
         self._feat_rng = feat_rng
         self._noise_rng = noise_rng

@@ -29,8 +29,8 @@ never an error.
 
 Keys hash the graph's *content fingerprint*, never its name or path, so two
 different graphs submitted under one dataset label can never alias — and
-``walk_cache`` itself is a placement knob that is canonicalised away from
-experiment ``cell_key``\\ s (see :func:`repro.cache.keys.canonical_cell_dict`).
+``walk_cache`` itself is a field of :class:`repro.api.Placement`, which
+travels beside experiment cells and so never enters their ``cell_key``\\ s.
 """
 
 from __future__ import annotations

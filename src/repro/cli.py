@@ -50,7 +50,7 @@ Examples
     python -m repro backends list
     python -m repro train --model advsgm --dataset ppi --epsilon 6 \
         --set num_epochs=2 --scale 0.15 --out emb.npz
-    python -m repro train --model sgm --dataset ppi --backend torch --device cpu
+    python -m repro train --model sgm --dataset ppi --backend torch:cpu:fast
     python -m repro evaluate --model dpar --dataset wiki --epsilon 4 \
         --task node_clustering --preset smoke
     python -m repro experiment fig3 --dataset ppi --workers 4 --cache-dir .cache
@@ -68,9 +68,10 @@ import argparse
 import dataclasses
 import json
 import sys
-from typing import Any, Dict, List, Optional, Sequence
+from typing import TYPE_CHECKING, Any, Dict, List, Optional, Sequence, Tuple
 
 from repro.api.registry import config_field_names, get_entry, list_models, make_model
+from repro.api.spec import Placement
 from repro.backend import (
     BackendError,
     backend_unavailable_reason,
@@ -80,6 +81,9 @@ from repro.backend import (
 )
 from repro.graph.datasets import get_spec as get_dataset_spec
 from repro.graph.datasets import list_datasets, load_dataset
+
+if TYPE_CHECKING:
+    from repro.experiments.config import ExperimentSettings
 
 
 def _entry_or_exit(name: str):
@@ -109,19 +113,15 @@ def _check_dataset_or_exit(name: str) -> None:
 
 
 def _check_backend_or_exit(args: argparse.Namespace) -> None:
-    """Validate the backend/device/precision request early, one-line message.
+    """Validate the backend request early, with a one-line message.
 
-    Runs for every command that will train: an explicit ``--backend`` /
-    ``--device`` / ``--precision`` (or an ambient ``$REPRO_BACKEND``) that
-    names an unknown, uninstalled or incompatible backend must fail before
-    any dataset or model work starts — and without a traceback.
+    Runs for every command that will train: an explicit ``--backend`` (or an
+    ambient ``$REPRO_BACKEND``) that names an unknown, uninstalled or
+    incompatible backend must fail before any dataset or model work starts —
+    and without a traceback.
     """
     try:
-        get_backend(
-            getattr(args, "backend", None),
-            getattr(args, "device", None),
-            getattr(args, "precision", None),
-        )
+        get_backend(args.backend)
     except BackendError as exc:
         raise SystemExit(str(exc))
 
@@ -318,7 +318,8 @@ def _cmd_backends(args: argparse.Namespace) -> int:
               f"(precedence: --backend > config > $REPRO_BACKEND > numpy)")
         for line in _backend_availability_lines():
             print(f"  {line}")
-        print("precisions: exact (float64, default; bit-for-bit reference) "
+        print("spec: name[:device][:precision], e.g. torch:cuda:fast; "
+              "precisions: exact (float64, default; bit-for-bit reference) "
               "| fast (float32 device-resident, accelerator backends only)")
     return 0
 
@@ -350,19 +351,30 @@ def _walk_cache_value(
     return None
 
 
-def _add_walk_cache_flags(parser: argparse.ArgumentParser) -> None:
-    """Attach the shared walk-cache flag triple to one subcommand parser."""
-    parser.add_argument("--walk-cache", action="store_true",
-                        help="reuse walk corpora from the derived-artifact "
-                             "cache (content-addressed by graph fingerprint "
-                             "+ walk params + seeds; replay is bit-identical "
-                             "to recomputation)")
-    parser.add_argument("--walk-cache-dir", default=None, metavar="DIR",
-                        help="artifact directory for cached walk corpora "
-                             "(implies --walk-cache)")
-    parser.add_argument("--no-walk-cache", action="store_true",
-                        help="force walk caching off, overriding "
-                             "$REPRO_WALK_CACHE")
+def _placement(args: argparse.Namespace, cache_root: Optional[str] = None) -> Placement:
+    """The :class:`Placement` the placement flags ask for."""
+    return Placement(
+        on_disk=args.on_disk, walk_cache=_walk_cache_value(args, cache_root)
+    )
+
+
+def _settings_and_placement(
+    args: argparse.Namespace, cache_root: Optional[str] = None
+) -> Tuple[ExperimentSettings, Placement]:
+    """The experiment settings and placement of ``evaluate``/``experiment``."""
+    from repro.experiments.config import ExperimentSettings
+
+    _check_backend_or_exit(args)
+    changes = {
+        "backend": args.backend,
+        "dataset_scale": getattr(args, "scale", None),
+        "seed": getattr(args, "seed", None),
+    }
+    settings = dataclasses.replace(
+        ExperimentSettings.preset(args.preset),
+        **{name: value for name, value in changes.items() if value is not None},
+    )
+    return settings, _placement(args, cache_root)
 
 
 def _streaming_overrides(args: argparse.Namespace, model_name: str) -> Dict[str, Any]:
@@ -403,15 +415,11 @@ def _cmd_train(args: argparse.Namespace) -> int:
     epsilon = args.epsilon if entry.private else None
     if args.epsilon is not None and not entry.private:
         raise SystemExit(f"model {entry.name!r} is not private; drop --epsilon")
-    # Fold the flags into the overrides dict (rather than separate kwargs)
+    # Fold the flag into the overrides dict (rather than a separate kwarg)
     # so `--set backend=...` and `--backend ...` cannot collide; the
-    # explicit flags win, per the documented precedence.
+    # explicit flag wins, per the documented precedence.
     if args.backend is not None:
         overrides["backend"] = args.backend
-    if args.device is not None:
-        overrides["device"] = args.device
-    if args.precision is not None:
-        overrides["precision"] = args.precision
     model = _make_model_or_exit(
         entry.name, epsilon=epsilon, graph=graph, rng=args.seed, **overrides
     )
@@ -434,7 +442,6 @@ def _cmd_train(args: argparse.Namespace) -> int:
 
 
 def _cmd_evaluate(args: argparse.Namespace) -> int:
-    from repro.experiments.config import ExperimentSettings
     from repro.experiments.runners import (
         evaluate_link_prediction,
         evaluate_node_clustering,
@@ -442,24 +449,7 @@ def _cmd_evaluate(args: argparse.Namespace) -> int:
 
     entry = _entry_or_exit(args.model)
     _check_dataset_or_exit(args.dataset)
-    _check_backend_or_exit(args)
-    settings = ExperimentSettings.preset(args.preset)
-    if args.scale is not None:
-        settings = dataclasses.replace(settings, dataset_scale=args.scale)
-    if args.seed is not None:
-        settings = dataclasses.replace(settings, seed=args.seed)
-    if args.backend is not None or args.device is not None or args.precision is not None:
-        settings = dataclasses.replace(
-            settings,
-            backend=args.backend,
-            device=args.device,
-            precision=args.precision,
-        )
-    if args.on_disk:
-        settings = dataclasses.replace(settings, on_disk=True)
-    walk_cache = _walk_cache_value(args)
-    if walk_cache is not None:
-        settings = dataclasses.replace(settings, walk_cache=walk_cache)
+    settings, placement = _settings_and_placement(args)
     epsilon = args.epsilon if entry.private else None
     if args.epsilon is not None and not entry.private:
         raise SystemExit(f"model {entry.name!r} is not private; drop --epsilon")
@@ -468,7 +458,10 @@ def _cmd_evaluate(args: argparse.Namespace) -> int:
         if args.task == "link_prediction"
         else evaluate_node_clustering
     )
-    row = runner(args.model, args.dataset, epsilon, settings, repeat=args.repeat)
+    row = runner(
+        args.model, args.dataset, epsilon, settings,
+        repeat=args.repeat, placement=placement,
+    )
     text = "\n".join(
         f"{key}: {value}" for key, value in row.items() if value is not None
     )
@@ -478,7 +471,6 @@ def _cmd_evaluate(args: argparse.Namespace) -> int:
 
 def _cmd_experiment(args: argparse.Namespace) -> int:
     from repro.experiments import (
-        ExperimentSettings,
         fig2_weight_rationality,
         fig3_link_prediction,
         fig4_node_clustering,
@@ -498,26 +490,14 @@ def _cmd_experiment(args: argparse.Namespace) -> int:
         "table5": table5_private_skipgram_comparison,
     }
     module = modules[args.name]
-    _check_backend_or_exit(args)
-    settings = ExperimentSettings.preset(args.preset)
-    if args.backend is not None or args.device is not None or args.precision is not None:
-        settings = dataclasses.replace(
-            settings,
-            backend=args.backend,
-            device=args.device,
-            precision=args.precision,
-        )
-    if args.on_disk:
-        settings = dataclasses.replace(settings, on_disk=True)
     # A bare --walk-cache co-locates the artifacts under --cache-dir (when
     # given), so `cache report --cache-dir X` sees corpora and results in one
     # place; --walk-cache-dir still points anywhere.
-    walk_cache = _walk_cache_value(args, cache_root=args.cache_dir)
-    if walk_cache is not None:
-        settings = dataclasses.replace(settings, walk_cache=walk_cache)
+    settings, placement = _settings_and_placement(args, cache_root=args.cache_dir)
     kwargs: Dict[str, Any] = {}
-    if args.name in ("fig3", "fig4", "table2", "table3", "table4", "table5"):
+    if args.name != "fig2":  # fig2 trains its own fixed panel, not cells
         kwargs["workers"] = args.workers
+        kwargs["placement"] = placement
     if args.dataset:
         if args.name == "fig2":
             raise SystemExit("fig2 runs on its fixed dataset panel")
@@ -690,7 +670,7 @@ def _cmd_worker(args: argparse.Namespace) -> int:
         max_cells=args.max_cells,
         drain=args.drain,
         lease_seconds=args.lease_seconds,
-        walk_cache=_walk_cache_value(args),
+        placement=_placement(args),
     )
     try:
         worker.client.health()  # fail fast (one line) on an unreachable server
@@ -775,6 +755,35 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
+    # Option blocks shared by several subcommands (argparse parent parsers).
+    compute = argparse.ArgumentParser(add_help=False)
+    compute.add_argument("--backend", default=None, metavar="SPEC",
+                         help="compute backend spec name[:device][:precision] "
+                              "(numpy | torch | torch:cuda | torch:cuda:fast; "
+                              "see `backends list`); cells are cached "
+                              "separately per backend")
+    placement = argparse.ArgumentParser(add_help=False)  # never changes results
+    placement.add_argument("--on-disk", action="store_true",
+                           help="load datasets as memory-mapped on-disk graphs "
+                                "(materialised once under the graph cache)")
+    placement.add_argument("--walk-cache", action="store_true",
+                           help="reuse walk corpora from the derived-artifact "
+                                "cache (content-addressed by graph fingerprint "
+                                "+ walk params + seeds; replay is bit-identical "
+                                "to recomputation)")
+    placement.add_argument("--walk-cache-dir", default=None, metavar="DIR",
+                           help="artifact directory for cached walk corpora "
+                                "(implies --walk-cache)")
+    placement.add_argument("--no-walk-cache", action="store_true",
+                           help="force walk caching off, overriding "
+                                "$REPRO_WALK_CACHE")
+    as_json = argparse.ArgumentParser(add_help=False)
+    as_json.add_argument("--json",
+                         help="also write the output as JSON ('-' for stdout)")
+    server = argparse.ArgumentParser(add_help=False)
+    server.add_argument("--server", required=True,
+                        help="service base URL (http://host:port)")
+
     p_datasets = sub.add_parser("datasets", help="dataset registry operations")
     p_datasets.add_argument("action", choices=["list"], help="what to do")
     p_datasets.set_defaults(func=_cmd_datasets)
@@ -810,13 +819,12 @@ def build_parser() -> argparse.ArgumentParser:
                           help="overwrite an existing graph directory")
     p_gbuild.set_defaults(func=_cmd_graph)
     p_ginfo = graph_sub.add_parser(
-        "info", help="summarise (and optionally verify) a graph directory"
+        "info", parents=[as_json],
+        help="summarise (and optionally verify) a graph directory",
     )
     p_ginfo.add_argument("path", help="graph directory to inspect")
     p_ginfo.add_argument("--verify", action="store_true",
                          help="recompute every array digest against the manifest")
-    p_ginfo.add_argument("--json",
-                         help="also write the summary as JSON ('-' for stdout)")
     p_ginfo.set_defaults(func=_cmd_graph)
 
     p_models = sub.add_parser("models", help="model registry operations")
@@ -827,7 +835,8 @@ def build_parser() -> argparse.ArgumentParser:
     p_backends.add_argument("action", choices=["list"], help="what to do")
     p_backends.set_defaults(func=_cmd_backends)
 
-    p_train = sub.add_parser("train", help="train one model on one dataset")
+    p_train = sub.add_parser("train", parents=[compute, placement],
+                             help="train one model on one dataset")
     p_train.add_argument("--model", required=True, help="registry name (see `models list`)")
     p_train.add_argument("--dataset", required=True, help="dataset name (see `datasets list`)")
     p_train.add_argument("--epsilon", type=float, default=None, help="privacy budget (private models)")
@@ -847,22 +856,11 @@ def build_parser() -> argparse.ArgumentParser:
                          help="split each walk pass into contiguous frontier "
                               "shards of this many start nodes (bit-identical "
                               "to serial for any --walk-workers)")
-    p_train.add_argument("--on-disk", action="store_true",
-                         help="train against a memory-mapped on-disk graph "
-                              "(materialised once under the graph cache)")
-    _add_walk_cache_flags(p_train)
-    p_train.add_argument("--backend", default=None,
-                         help="compute backend (numpy | torch | torch:DEVICE; "
-                              "see `backends list`)")
-    p_train.add_argument("--device", default=None,
-                         help="device for the backend (e.g. cpu, cuda)")
-    p_train.add_argument("--precision", default=None, choices=["exact", "fast"],
-                         help="arithmetic mode: exact float64 (default) or "
-                              "fast float32 device-resident (torch only)")
     p_train.add_argument("--out", help="save embeddings to this .npz file")
     p_train.set_defaults(func=_cmd_train)
 
-    p_eval = sub.add_parser("evaluate", help="train + evaluate one model")
+    p_eval = sub.add_parser("evaluate", parents=[compute, placement, as_json],
+                            help="train + evaluate one model")
     p_eval.add_argument("--model", required=True)
     p_eval.add_argument("--dataset", required=True)
     p_eval.add_argument("--task", choices=["link_prediction", "node_clustering"],
@@ -873,20 +871,10 @@ def build_parser() -> argparse.ArgumentParser:
     p_eval.add_argument("--scale", type=float, default=None, help="override dataset scale")
     p_eval.add_argument("--seed", type=int, default=None, help="override the root seed")
     p_eval.add_argument("--repeat", type=int, default=0, help="repeat index (derives the seed)")
-    p_eval.add_argument("--backend", default=None,
-                        help="compute backend (numpy | torch | torch:DEVICE)")
-    p_eval.add_argument("--device", default=None,
-                        help="device for the backend (e.g. cpu, cuda)")
-    p_eval.add_argument("--precision", default=None, choices=["exact", "fast"],
-                        help="arithmetic mode: exact float64 (default) or "
-                             "fast float32 device-resident (torch only)")
-    p_eval.add_argument("--on-disk", action="store_true",
-                        help="load the dataset as a memory-mapped on-disk graph")
-    _add_walk_cache_flags(p_eval)
-    p_eval.add_argument("--json", help="also write the result row as JSON ('-' for stdout)")
     p_eval.set_defaults(func=_cmd_evaluate)
 
-    p_exp = sub.add_parser("experiment", help="regenerate a paper figure/table")
+    p_exp = sub.add_parser("experiment", parents=[compute, placement, as_json],
+                           help="regenerate a paper figure/table")
     p_exp.add_argument("name", choices=["fig2", "fig3", "fig4", "table2",
                                         "table3", "table4", "table5"])
     p_exp.add_argument("--preset", choices=["smoke", "quick", "full"], default="quick")
@@ -905,29 +893,14 @@ def build_parser() -> argparse.ArgumentParser:
                             "--cache-dir the default ~/.cache/repro is used")
     p_exp.add_argument("--force", action="store_true",
                        help="recompute every cell, overwriting cached entries")
-    p_exp.add_argument("--backend", default=None,
-                       help="compute backend for every cell (numpy | torch "
-                            "| torch:DEVICE); cached separately per backend")
-    p_exp.add_argument("--device", default=None,
-                       help="device for the backend (e.g. cpu, cuda)")
-    p_exp.add_argument("--precision", default=None, choices=["exact", "fast"],
-                       help="arithmetic mode for every cell: exact float64 "
-                            "(default) or fast float32 (torch only); cached "
-                            "separately per precision")
-    p_exp.add_argument("--on-disk", action="store_true",
-                       help="load every cell's dataset as a memory-mapped "
-                            "on-disk graph (cached under the graph cache root)")
-    _add_walk_cache_flags(p_exp)
-    p_exp.add_argument("--json", help="also write results as JSON ('-' for stdout)")
     p_exp.set_defaults(func=_cmd_experiment)
 
-    p_cache = sub.add_parser("cache", help="inspect or clear the experiment cache")
+    p_cache = sub.add_parser("cache", parents=[as_json],
+                             help="inspect or clear the experiment cache "
+                                  "(report --json: the GET /cache format)")
     p_cache.add_argument("action", choices=["report", "clear"], help="what to do")
     p_cache.add_argument("--cache-dir",
                          help="cache directory (default: ~/.cache/repro)")
-    p_cache.add_argument("--json",
-                         help="write the machine-readable report as JSON "
-                              "('-' for stdout; same format as GET /cache)")
     p_cache.add_argument("--artifacts", action="store_true",
                          help="with `clear`: remove only the cached walk "
                               "corpora, leaving result entries intact")
@@ -956,10 +929,9 @@ def build_parser() -> argparse.ArgumentParser:
     p_serve.set_defaults(func=_cmd_serve)
 
     p_worker = sub.add_parser(
-        "worker", help="run one worker loop against a running service"
+        "worker", parents=[server, placement],
+        help="run one worker loop against a running service",
     )
-    p_worker.add_argument("--server", required=True,
-                          help="service base URL (http://host:port)")
     p_worker.add_argument("--name", default=None,
                           help="worker identity recorded on leases "
                                "(default: host:pid)")
@@ -974,30 +946,22 @@ def build_parser() -> argparse.ArgumentParser:
     p_worker.add_argument("--lease-seconds", type=float, default=None,
                           help="per-lease window override (default: the "
                                "server's)")
-    _add_walk_cache_flags(p_worker)
     p_worker.set_defaults(func=_cmd_worker)
 
     p_submit = sub.add_parser(
-        "submit", help="submit an ExperimentSpec JSON file to a service"
+        "submit", parents=[server, as_json],
+        help="submit an ExperimentSpec JSON file to a service",
     )
     p_submit.add_argument("spec", help="path to a spec JSON file "
                                        "(ExperimentSpec.to_dict() format)")
-    p_submit.add_argument("--server", required=True,
-                          help="service base URL (http://host:port)")
-    p_submit.add_argument("--json",
-                          help="also write the submit outcome as JSON "
-                               "('-' for stdout)")
     p_submit.set_defaults(func=_cmd_submit)
 
     p_status = sub.add_parser(
-        "status", help="progress of a running service's specs"
+        "status", parents=[server, as_json],
+        help="progress of a running service's specs",
     )
     p_status.add_argument("spec_id", nargs="?", default=None,
                           help="spec id (or unique prefix); omit for all specs")
-    p_status.add_argument("--server", required=True,
-                          help="service base URL (http://host:port)")
-    p_status.add_argument("--json",
-                          help="also write the progress as JSON ('-' for stdout)")
     p_status.set_defaults(func=_cmd_status)
 
     p_gold = sub.add_parser(

@@ -5,6 +5,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Optional, Tuple
 
+from repro.backend import coerce_backend_spec
 from repro.graph.sampling import check_negative_distribution
 from repro.utils.validation import check_positive, check_probability
 
@@ -55,25 +56,20 @@ class AdvSGMConfig:
         factor absorbed into the learning rate), which is what makes the
         paper's learning rates (0.01-0.3) produce visible progress within the
         step counts the privacy budget allows.
-    backend / device:
-        Compute backend for the tensor math (``"numpy"`` default, ``"torch"``
-        optional; ``None`` defers to ``$REPRO_BACKEND`` and then numpy) and
-        its device (``"cpu"``/``"cuda"`` for torch).  The choice affects
-        *only* where matmuls and activations execute: the DP guarantee is
-        backend-independent, because the RDP accountant is charged from the
-        sampling probabilities and the noise multiplier alone — and the
+    backend:
+        Compute backend spec ``name[:device][:precision]`` (``"numpy"``
+        default, ``"torch"``, ``"torch:cuda"``, ``"torch:cuda:fast"``;
+        ``None`` defers to ``$REPRO_BACKEND`` and then numpy; a ``Backend``
+        instance is recorded by its spec).  The choice affects *only* where
+        matmuls and activations execute and at what width (``exact``
+        float64, bit-for-bit with the numpy reference, or ``fast`` float32
+        device-resident arithmetic): the DP guarantee is backend- and
+        precision-independent, because the RDP accountant is charged from
+        the sampling probabilities and the noise multiplier alone — and the
         Gaussian noise itself is drawn from the same seeded numpy stream on
         every backend before being transferred, so a fixed seed yields the
         same mechanism invocations (and the same budget-driven early stop)
         under numpy and torch alike.
-    precision:
-        ``"exact"`` (default; float64, bit-for-bit with the numpy reference)
-        or ``"fast"`` (float32 device-resident arithmetic with fused batch
-        updates, accelerator backends only).  Like the backend choice, the
-        precision mode is *utility-only*: the RDP accountant consumes the
-        sampling probabilities and the noise multiplier, none of which
-        depend on the arithmetic width, so the (epsilon, delta) guarantee is
-        identical under both modes.
     """
 
     embedding_dim: int = 128
@@ -97,8 +93,6 @@ class AdvSGMConfig:
     average_gradients: bool = False
     rdp_orders: Tuple[int, ...] = field(default_factory=lambda: tuple(range(2, 65)))
     backend: Optional[str] = None
-    device: Optional[str] = None
-    precision: Optional[str] = None
 
     def __post_init__(self) -> None:
         for name in (
@@ -128,12 +122,7 @@ class AdvSGMConfig:
             )
         if any(int(o) != o or o < 2 for o in self.rdp_orders):
             raise ValueError("rdp_orders must all be integers >= 2")
-        if self.backend is not None:
-            self.backend = str(self.backend)
-        if self.device is not None:
-            self.device = str(self.device)
-        if self.precision is not None:
-            self.precision = str(self.precision)
+        self.backend = coerce_backend_spec(self.backend)
 
     def without_privacy(self) -> "AdvSGMConfig":
         """Return a copy of this config with differential privacy disabled."""

@@ -20,7 +20,7 @@ import numpy as np
 
 from repro.api.estimator import EstimatorMixin
 from repro.api.registry import register_model
-from repro.backend import get_backend
+from repro.backend import coerce_backend_spec, get_backend
 from repro.graph.graph import Graph
 from repro.graph.random_walk import iter_walk_pairs, walks_to_pairs
 from repro.graph.sampling import (
@@ -84,8 +84,6 @@ class DeepWalkConfig:
     frontier_shard: Optional[int] = None
     walk_cache: Union[bool, str, None] = None
     backend: Optional[str] = None
-    device: Optional[str] = None
-    precision: Optional[str] = None
 
     def __post_init__(self) -> None:
         for name in ("embedding_dim", "num_walks", "walk_length", "window_size",
@@ -99,12 +97,7 @@ class DeepWalkConfig:
         check_negative_distribution(self.negative_distribution)
         if self.walk_cache is not None and not isinstance(self.walk_cache, bool):
             self.walk_cache = str(self.walk_cache)
-        if self.backend is not None:
-            self.backend = str(self.backend)
-        if self.device is not None:
-            self.device = str(self.device)
-        if self.precision is not None:
-            self.precision = str(self.precision)
+        self.backend = coerce_backend_spec(self.backend)
 
 
 @register_model(
@@ -131,9 +124,7 @@ class DeepWalk(EstimatorMixin):
     def _setup(self, graph: Graph) -> None:
         """Bind ``graph``: initialise embeddings and the negative table."""
         self.graph = graph
-        self.backend_ = get_backend(
-            self.config.backend, self.config.device, self.config.precision
-        )
+        self.backend_ = get_backend(self.config.backend)
         self._init_rng, self._walk_rng, self._train_rng = spawn_rngs(self._rng, 3)
         dim = self.config.embedding_dim
         self.w_in = uniform_embedding(

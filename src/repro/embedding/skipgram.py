@@ -22,7 +22,7 @@ import numpy as np
 
 from repro.api.estimator import EstimatorMixin
 from repro.api.registry import register_model
-from repro.backend import get_backend
+from repro.backend import coerce_backend_spec, get_backend
 from repro.graph.graph import Graph
 from repro.graph.sampling import EdgeSampler, SampleBatch, check_negative_distribution
 from repro.nn.functional import log_sigmoid, sigmoid
@@ -46,8 +46,6 @@ class SkipGramConfig:
     normalize_embeddings: bool = True
     negative_distribution: str = "uniform"
     backend: Optional[str] = None
-    device: Optional[str] = None
-    precision: Optional[str] = None
 
     def __post_init__(self) -> None:
         if self.embedding_dim <= 0:
@@ -60,12 +58,7 @@ class SkipGramConfig:
         if self.num_epochs <= 0 or self.batches_per_epoch <= 0:
             raise ValueError("num_epochs and batches_per_epoch must be positive")
         check_negative_distribution(self.negative_distribution)
-        if self.backend is not None:
-            self.backend = str(self.backend)
-        if self.device is not None:
-            self.device = str(self.device)
-        if self.precision is not None:
-            self.precision = str(self.precision)
+        self.backend = coerce_backend_spec(self.backend)
 
 
 @register_model(
@@ -104,9 +97,7 @@ class SkipGramModel(EstimatorMixin):
     def _setup(self, graph: Graph) -> None:
         """Bind ``graph``: initialise embeddings and the batch sampler."""
         self.graph = graph
-        self.backend_ = get_backend(
-            self.config.backend, self.config.device, self.config.precision
-        )
+        self.backend_ = get_backend(self.config.backend)
         init_rng, sample_rng = spawn_rngs(self._rng, 2)
         dim = self.config.embedding_dim
         self.w_in = uniform_embedding(
@@ -258,7 +249,7 @@ class SkipGramModel(EstimatorMixin):
         Updates follow the usual skip-gram/SGD convention: per-pair gradients
         are accumulated into their embedding rows and applied with the full
         learning rate (no division by the batch size), which is how word2vec,
-        LINE and DeepWalk implementations behave.  Under ``precision="fast"``
+        LINE and DeepWalk implementations behave.  On a ``fast`` backend
         the whole batch runs through the backend's fused
         :meth:`~repro.backend.base.Backend.skipgram_step`.
         """

@@ -11,7 +11,6 @@ from repro.api import ExperimentCell, ExperimentSpec, ModelSpec
 from repro.experiments.config import ExperimentSettings, DEFAULT_EPSILONS
 from repro.experiments.runners import (
     MODEL_SETTINGS,
-    build_private_model,
     evaluate_link_prediction,
     evaluate_node_clustering,
     nest_series,
@@ -39,7 +38,6 @@ __all__ = [
     "ExperimentSettings",
     "DEFAULT_EPSILONS",
     "MODEL_SETTINGS",
-    "build_private_model",
     "evaluate_link_prediction",
     "evaluate_node_clustering",
     "nest_series",

@@ -10,7 +10,7 @@ models use the paper's schedule scaled by ``epoch_scale``.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Optional, Tuple, Union
+from typing import Optional, Tuple
 
 from repro.utils.validation import check_positive, check_probability
 
@@ -40,18 +40,10 @@ class ExperimentSettings:
         Privacy budgets swept by the comparison experiments.
     seed:
         Base seed; every experiment derives per-run seeds from it.
-    backend / device / precision:
-        Compute backend every cell trains on (``None`` defers to the model
-        configs and then the ambient default; see :mod:`repro.backend`),
-        its device, and its precision mode (``"exact"`` / ``"fast"``).
-    on_disk:
-        Load every dataset as a memory-mapped on-disk graph (materialised
-        once under the graph cache, bit-identical to the in-RAM build).
-    walk_cache:
-        Derived-artifact cache for walk corpora (``True`` = default artifact
-        directory, a path = that directory, ``False`` = force-disabled,
-        ``None`` = defer to ``$REPRO_WALK_CACHE``).  Placement only — cells
-        are bit-identical and cache keys unchanged either way.
+    backend:
+        Compute backend spec ``name[:device][:precision]`` every cell trains
+        on (``None`` defers to the model configs and then the ambient
+        default; see :mod:`repro.backend`).
     """
 
     dataset_scale: float = 1.0
@@ -72,10 +64,6 @@ class ExperimentSettings:
     num_repeats: int = 1
     seed: int = 2025
     backend: Optional[str] = None
-    device: Optional[str] = None
-    precision: Optional[str] = None
-    on_disk: bool = False
-    walk_cache: Union[bool, str, None] = None
 
     def __post_init__(self) -> None:
         check_positive(self.dataset_scale, "dataset_scale")
@@ -102,12 +90,6 @@ class ExperimentSettings:
             raise ValueError("epsilons must not be empty")
         if self.backend is not None:
             self.backend = str(self.backend)
-        if self.device is not None:
-            self.device = str(self.device)
-        if self.precision is not None:
-            self.precision = str(self.precision)
-        if self.walk_cache is not None and not isinstance(self.walk_cache, bool):
-            self.walk_cache = str(self.walk_cache)
 
     @classmethod
     def quick(cls) -> "ExperimentSettings":

@@ -10,7 +10,7 @@ from __future__ import annotations
 
 from typing import Dict, Iterable
 
-from repro.api import ExperimentSpec
+from repro.api import ExperimentSpec, Placement
 from repro.experiments.config import ExperimentSettings
 from repro.experiments.runners import (
     PRIVATE_MODEL_NAMES,
@@ -45,16 +45,18 @@ def run(
     cache=None,
     resume: bool = True,
     force: bool = False,
+    placement: Placement = Placement(),
 ) -> Dict[str, Dict[str, Dict[float, float]]]:
     """Return ``{dataset: {model: {epsilon: auc}}}``.
 
-    ``cache``/``resume``/``force`` behave as in
+    ``cache``/``resume``/``force``/``placement`` behave as in
     :func:`repro.experiments.runners.run_spec`: completed cells are loaded
     from the result store instead of recomputed.
     """
     results = run_spec(
         spec(settings, datasets, models, epsilons),
         workers=workers, cache=cache, resume=resume, force=force,
+        placement=placement,
     )
     return nest_series(results, "auc")
 

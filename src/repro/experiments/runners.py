@@ -18,11 +18,12 @@ from __future__ import annotations
 
 import time
 from concurrent.futures import ProcessPoolExecutor, as_completed
+from functools import partial
 from typing import Any, Callable, Dict, Iterable, List, Mapping, Optional, Sequence, Tuple, Union
 
 import numpy as np
 
-from repro.api import ExperimentCell, ExperimentSpec, ModelSpec, SEED_STRIDE
+from repro.api import ExperimentCell, ExperimentSpec, ModelSpec, Placement, SEED_STRIDE
 from repro.api.registry import config_field_names, get_entry, make_model
 from repro.cache import CacheLike, resolve_store
 from repro.core.config import AdvSGMConfig
@@ -31,7 +32,6 @@ from repro.evals.link_prediction import LinkPredictionTask
 from repro.experiments.config import ExperimentSettings
 from repro.graph.datasets import load_dataset
 from repro.graph.graph import Graph
-from repro.train import Trainer
 
 #: Private models compared in Fig. 3 / Fig. 4 of the paper.
 PRIVATE_MODEL_NAMES = ("DPGGAN", "DPGVAE", "GAP", "DPAR", "AdvSGM")
@@ -163,46 +163,6 @@ def advsgm_config(
     return AdvSGMConfig(epsilon=epsilon, dp_enabled=dp_enabled, **overrides)
 
 
-def build_private_model(
-    name: str,
-    graph: Graph,
-    epsilon: float,
-    settings: ExperimentSettings,
-    seed: int,
-) -> Trainer:
-    """Instantiate one of the compared private models by name (untrained).
-
-    Thin wrapper over :func:`repro.api.make_model` with the settings-derived
-    overrides of :data:`MODEL_SETTINGS`; kept for backward compatibility with
-    the historical per-model factory.
-    """
-    entry = get_entry(name)
-    if not entry.private:
-        raise KeyError(f"model {name!r} is not a private model")
-    return make_model(
-        entry.name,
-        epsilon=epsilon,
-        graph=graph,
-        rng=seed,
-        **settings_overrides(entry.name, settings),
-    )
-
-
-def build_nonprivate_model(
-    name: str, graph: Graph, settings: ExperimentSettings, seed: int
-) -> Trainer:
-    """Instantiate SGM(No DP) or AdvSGM(No DP) (untrained)."""
-    entry = get_entry(name)
-    if entry.private:
-        raise KeyError(f"model {name!r} is not a non-private model")
-    return make_model(
-        entry.name,
-        graph=graph,
-        rng=seed,
-        **settings_overrides(entry.name, settings),
-    )
-
-
 # ---------------------------------------------------------------------------
 # spec construction and execution
 # ---------------------------------------------------------------------------
@@ -234,15 +194,13 @@ def spec_from_settings(
         dataset_scale=settings.dataset_scale,
         test_fraction=settings.test_fraction,
         backend=settings.backend,
-        device=settings.device,
-        precision=settings.precision,
-        on_disk=settings.on_disk,
-        walk_cache=settings.walk_cache,
     )
 
 
 def compute_cell(
-    cell: ExperimentCell, capture_embeddings: bool = False
+    cell: ExperimentCell,
+    capture_embeddings: bool = False,
+    placement: Placement = Placement(),
 ) -> Tuple[Dict[str, Any], Optional[np.ndarray], float]:
     """Compute one cell from scratch: ``(row, embeddings-or-None, seconds)``.
 
@@ -251,6 +209,8 @@ def compute_cell(
     function of picklable arguments.  The row is normalised to plain Python
     scalars so it is identical whether it is consumed directly or after a
     JSON round-trip through the cache or the service wire format.
+    ``placement`` says where the data lives; the row and embeddings are
+    bit-identical for every placement.
     """
     from repro.utils.serialization import to_plain
 
@@ -262,26 +222,20 @@ def compute_cell(
             cell.dataset,
             scale=cell.dataset_scale,
             seed=cell.dataset_seed,
-            on_disk=cell.on_disk,
+            on_disk=placement.on_disk,
         )
     overrides = dict(cell.model.overrides)
-    # The cell-level backend/device/precision win over any model-spec
-    # override, so a sweep re-run under --backend torch (or --precision
-    # fast) retrains every cell accordingly.
+    # The cell-level backend wins over any model-spec override, so a sweep
+    # re-run under --backend torch:cuda:fast retrains every cell accordingly.
     if cell.backend is not None:
         overrides["backend"] = cell.backend
-    if cell.device is not None:
-        overrides["device"] = cell.device
-    if cell.precision is not None:
-        overrides["precision"] = cell.precision
-    # The walk-corpus cache is a sweep-level placement knob: models whose
-    # config has the field (the walk-corpus family) receive it, everything
-    # else (edge-sampling trainers, GNN baselines) silently ignores it so
-    # one mixed sweep can carry the flag.
-    if cell.walk_cache is not None and "walk_cache" in config_field_names(
+    # Models whose config has the field (the walk-corpus family) receive the
+    # walk cache; everything else (edge-sampling trainers, GNN baselines)
+    # ignores it, so one mixed sweep can carry it.
+    if placement.walk_cache is not None and "walk_cache" in config_field_names(
         cell.model.name
     ):
-        overrides["walk_cache"] = cell.walk_cache
+        overrides["walk_cache"] = placement.walk_cache
     row: Dict[str, Any] = {
         "task": cell.task,
         "dataset": cell.dataset,
@@ -330,16 +284,12 @@ def compute_cell(
     return to_plain(row), embeddings, time.perf_counter() - start
 
 
-#: Historical name; the function went public when the embedding service's
-#: workers started computing cells through it.
-_compute_cell = compute_cell
-
-
 def run_cell(
     cell: ExperimentCell,
     cache: CacheLike = None,
     force: bool = False,
     store_embeddings: bool = False,
+    placement: Placement = Placement(),
 ) -> Dict[str, Any]:
     """Execute one experiment cell (or load it) and return its result row.
 
@@ -358,7 +308,7 @@ def run_cell(
         if cached is not None:
             return cached
     row, embeddings, wall = compute_cell(
-        cell, capture_embeddings=store_embeddings and store is not None
+        cell, store_embeddings and store is not None, placement
     )
     if store is not None:
         store.put(cell, row, embeddings=embeddings, wall_time=wall)
@@ -372,6 +322,7 @@ def run_spec(
     resume: bool = True,
     force: bool = False,
     store_embeddings: bool = False,
+    placement: Placement = Placement(),
 ) -> List[Dict[str, Any]]:
     """Run every cell of ``spec``; ``workers > 1`` uses a process pool.
 
@@ -384,14 +335,15 @@ def run_spec(
     computed cell is persisted *as soon as it finishes* — in the parent
     process, even on the multiprocess path — so an interrupted sweep keeps
     all completed work and a re-run picks up exactly where it died.
+    ``placement`` reaches every cell unchanged and never changes a row.
     """
     cells = spec.cells()
     store = resolve_store(cache)
     if store is None:
         if workers <= 1:
-            return [run_cell(cell) for cell in cells]
+            return [run_cell(cell, placement=placement) for cell in cells]
         with ProcessPoolExecutor(max_workers=workers) as pool:
-            return list(pool.map(run_cell, cells))
+            return list(pool.map(partial(run_cell, placement=placement), cells))
 
     rows: List[Optional[Dict[str, Any]]] = [None] * len(cells)
     pending: List[int] = []
@@ -405,13 +357,13 @@ def run_spec(
     capture = bool(store_embeddings)
     if workers <= 1:
         for index in pending:
-            row, embeddings, wall = compute_cell(cells[index], capture)
+            row, embeddings, wall = compute_cell(cells[index], capture, placement)
             store.put(cells[index], row, embeddings=embeddings, wall_time=wall)
             rows[index] = row
     elif pending:
         with ProcessPoolExecutor(max_workers=workers) as pool:
             futures = {
-                pool.submit(compute_cell, cells[index], capture): index
+                pool.submit(compute_cell, cells[index], capture, placement): index
                 for index in pending
             }
             # One failing cell must not discard its siblings' finished work:
@@ -475,10 +427,6 @@ def _single_cell(
         dataset_seed=settings.seed,
         test_fraction=settings.test_fraction,
         backend=settings.backend,
-        device=settings.device,
-        precision=settings.precision,
-        on_disk=settings.on_disk,
-        walk_cache=settings.walk_cache,
     )
 
 
@@ -488,10 +436,12 @@ def evaluate_link_prediction(
     epsilon: float,
     settings: ExperimentSettings,
     repeat: int = 0,
+    placement: Placement = Placement(),
 ) -> Dict[str, Any]:
     """Train one private model and return its test AUC on ``dataset``."""
     return run_cell(
-        _single_cell("link_prediction", model_name, dataset, epsilon, settings, repeat)
+        _single_cell("link_prediction", model_name, dataset, epsilon, settings, repeat),
+        placement=placement,
     )
 
 
@@ -501,10 +451,12 @@ def evaluate_node_clustering(
     epsilon: float,
     settings: ExperimentSettings,
     repeat: int = 0,
+    placement: Placement = Placement(),
 ) -> Dict[str, Any]:
     """Train one private model and return clustering MI on ``dataset``."""
     return run_cell(
-        _single_cell("node_clustering", model_name, dataset, epsilon, settings, repeat)
+        _single_cell("node_clustering", model_name, dataset, epsilon, settings, repeat),
+        placement=placement,
     )
 
 

@@ -8,7 +8,7 @@ from __future__ import annotations
 
 from typing import Dict
 
-from repro.api import ExperimentSpec
+from repro.api import ExperimentSpec, Placement
 from repro.experiments.config import ExperimentSettings
 from repro.experiments.runners import (
     mean_and_std,
@@ -54,12 +54,14 @@ def run(
     cache=None,
     resume: bool = True,
     force: bool = False,
+    placement: Placement = Placement(),
 ) -> Dict[float, Dict[str, Dict[str, float]]]:
     """Return ``{learning_rate: {dataset: {"mean": auc, "std": std}}}``."""
     settings = settings or ExperimentSettings.quick()
     rows = run_spec(
         spec(settings, learning_rates, datasets),
         workers=workers, cache=cache, resume=resume, force=force,
+        placement=placement,
     )
     results: Dict[float, Dict[str, Dict[str, float]]] = {}
     for lr in learning_rates:

@@ -12,7 +12,7 @@ from __future__ import annotations
 
 from typing import Dict
 
-from repro.api import ExperimentSpec
+from repro.api import ExperimentSpec, Placement
 from repro.experiments.config import ExperimentSettings
 from repro.experiments.runners import (
     mean_and_std,
@@ -52,12 +52,14 @@ def run(
     cache=None,
     resume: bool = True,
     force: bool = False,
+    placement: Placement = Placement(),
 ) -> Dict[int, Dict[str, Dict[str, float]]]:
     """Return ``{batch_size: {dataset: {"mean": auc, "std": std}}}``."""
     settings = settings or ExperimentSettings.quick()
     rows = run_spec(
         spec(settings, batch_sizes, datasets),
         workers=workers, cache=cache, resume=resume, force=force,
+        placement=placement,
     )
     results: Dict[int, Dict[str, Dict[str, float]]] = {}
     for batch_size in batch_sizes:

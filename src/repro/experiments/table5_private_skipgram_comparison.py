@@ -13,6 +13,7 @@ from __future__ import annotations
 
 from typing import Dict, Iterable, List
 
+from repro.api import Placement
 from repro.experiments.config import ExperimentSettings
 from repro.experiments.runners import run_spec, spec_from_settings
 
@@ -35,6 +36,7 @@ def run(
     cache=None,
     resume: bool = True,
     force: bool = False,
+    placement: Placement = Placement(),
 ) -> Dict[str, Dict[str, float]]:
     """Return ``{row_label: {"auc/<ds>": value, "mi/<ds>": value}}``.
 
@@ -63,7 +65,8 @@ def run(
     cells: List[Dict[str, float]] = []
     for spec in specs:
         cells.extend(
-            run_spec(spec, workers=workers, cache=cache, resume=resume, force=force)
+            run_spec(spec, workers=workers, cache=cache, resume=resume,
+                     force=force, placement=placement)
         )
 
     def row_label(cell: Dict[str, float]) -> str:

@@ -24,7 +24,6 @@ thundering herd of polls.
 
 from __future__ import annotations
 
-import dataclasses
 import os
 import random
 import socket
@@ -32,7 +31,7 @@ import threading
 import time
 from typing import Any, Dict, Optional
 
-from repro.api.spec import ExperimentCell
+from repro.api.spec import ExperimentCell, Placement
 from repro.service.client import ServiceClient, ServiceError
 from repro.service.server import encode_embeddings
 
@@ -97,13 +96,14 @@ class ServiceWorker:
         not merely momentarily unavailable.
     lease_seconds:
         Per-worker lease window override (``None`` = server default).
-    walk_cache:
-        Derived-artifact cache for walk corpora (``True`` = default artifact
-        directory, a path = that directory, ``False`` = force-disabled,
-        ``None`` = defer to ``$REPRO_WALK_CACHE``).  Applied to every leased
-        cell: many cells of one spec share a graph, so a worker fleet with a
-        shared artifact directory walks each corpus exactly once.  Placement
-        only — reported rows and embeddings are bit-identical either way.
+    placement:
+        Where this worker keeps its data (:class:`~repro.api.Placement`:
+        on-disk graphs, the walk-corpus cache), applied to every leased
+        cell.  It is the worker's own choice — the submitting client need
+        not know this host's layout — and many cells of one spec share a
+        graph, so a fleet with a shared artifact directory walks each corpus
+        exactly once.  Reported rows and embeddings are bit-identical for
+        every placement.
     """
 
     def __init__(
@@ -114,7 +114,7 @@ class ServiceWorker:
         max_cells: Optional[int] = None,
         drain: bool = False,
         lease_seconds: Optional[float] = None,
-        walk_cache: Any = None,
+        placement: Placement = Placement(),
     ) -> None:
         self.client = server if isinstance(server, ServiceClient) else ServiceClient(server)
         self.name = name or f"{socket.gethostname()}:{os.getpid()}"
@@ -122,7 +122,7 @@ class ServiceWorker:
         self.max_cells = max_cells
         self.drain = bool(drain)
         self.lease_seconds = lease_seconds
-        self.walk_cache = walk_cache
+        self.placement = placement
         self.completed = 0
         self.failed = 0
         self._stop = threading.Event()
@@ -178,13 +178,10 @@ class ServiceWorker:
             time.sleep(fault_delay)
         with _Heartbeat(self.client, lease_id, float(lease["lease_seconds"])):
             try:
-                cell = ExperimentCell.from_dict(lease["cell"])
-                if self.walk_cache is not None:
-                    # Worker-side placement override: the submitting client
-                    # need not know (or share) this host's artifact layout.
-                    cell = dataclasses.replace(cell, walk_cache=self.walk_cache)
                 row, embeddings, wall = compute_cell(
-                    cell, capture_embeddings=bool(lease.get("store_embeddings"))
+                    ExperimentCell.from_dict(lease["cell"]),
+                    bool(lease.get("store_embeddings")),
+                    self.placement,
                 )
             except ServiceError:
                 raise

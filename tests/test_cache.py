@@ -18,7 +18,7 @@ import threading
 import numpy as np
 import pytest
 
-from repro.api import ExperimentCell, ExperimentSpec, ModelSpec
+from repro.api import ExperimentCell, ExperimentSpec, ModelSpec, Placement
 from repro.cache import (
     CACHE_SCHEMA_VERSION,
     ResultStore,
@@ -28,7 +28,7 @@ from repro.cache import (
     resolve_store,
     spec_key,
 )
-from repro.experiments.runners import _compute_cell, run_cell, run_spec
+from repro.experiments.runners import compute_cell, run_cell, run_spec
 
 #: Tiny deepwalk schedule: one cell trains in well under a second.
 FAST_DEEPWALK = dict(
@@ -203,8 +203,20 @@ class TestGraphPlacementKeys:
     """
 
     def test_on_disk_flag_does_not_change_the_key(self):
-        assert cell_key(tiny_cell(on_disk=True)) == cell_key(tiny_cell())
-        assert "on_disk" not in canonical_cell_dict(tiny_cell(on_disk=True))
+        # ``on_disk`` lives in the Placement beside the cell, so it cannot
+        # reach the key at all: a cell refuses the field outright.
+        with pytest.raises(TypeError, match="on_disk"):
+            tiny_cell(on_disk=True)
+        assert "on_disk" not in canonical_cell_dict(tiny_cell())
+
+    def test_on_disk_placement_rows_equal_in_ram_rows(self, tmp_path, monkeypatch):
+        monkeypatch.setenv("REPRO_GRAPH_CACHE", str(tmp_path))
+        spec = tiny_spec(repeats=1)
+        in_ram = run_spec(spec)
+        on_disk = run_spec(spec, placement=Placement(on_disk=True))
+        assert on_disk == in_ram
+        (graph_dir,) = [p for p in tmp_path.iterdir() if not p.name.startswith(".")]
+        assert (graph_dir / "meta.json").is_file()
 
     def test_same_name_different_graphs_never_alias(self, tmp_path):
         from repro.graph.datasets import load_dataset
@@ -285,7 +297,7 @@ class TestRoundTripDeterminism:
 class TestResultStore:
     def test_put_get_roundtrip_bit_for_bit(self, tmp_path):
         cell = tiny_cell()
-        row, _, wall = _compute_cell(cell)
+        row, _, wall = compute_cell(cell)
         store = ResultStore(tmp_path)
         key = store.put(cell, row, wall_time=wall)
         loaded = store.get(cell)
@@ -304,7 +316,7 @@ class TestResultStore:
         store = ResultStore(tmp_path)
         row = run_cell(cell, cache=store, store_embeddings=True)
         cached_embeddings = store.load_embeddings(cell)
-        recomputed_row, recomputed_embeddings, _ = _compute_cell(
+        recomputed_row, recomputed_embeddings, _ = compute_cell(
             cell, capture_embeddings=True
         )
         assert row == recomputed_row

@@ -209,14 +209,14 @@ PINNED_OPTIONS = {
     "evaluate": {
         "--model": None, "--dataset": None, "--task": "link_prediction",
         "--epsilon": None, "--preset": "quick", "--scale": None, "--seed": None,
-        "--repeat": 0, "--backend": None, "--device": None, "--precision": None,
-        "--on-disk": False, **_WALK_CACHE, "--json": None,
+        "--repeat": 0, "--backend": None, "--on-disk": False, **_WALK_CACHE,
+        "--json": None,
     },
     "experiment": {
         "name": None, "--preset": "quick", "--dataset": None, "--models": None,
         "--epsilons": None, "--workers": 1, "--cache-dir": None,
-        "--resume": False, "--force": False, "--backend": None, "--device": None,
-        "--precision": None, "--on-disk": False, **_WALK_CACHE, "--json": None,
+        "--resume": False, "--force": False, "--backend": None,
+        "--on-disk": False, **_WALK_CACHE, "--json": None,
     },
     "golden": {"--update": False, "--check": False, "--relaxed": False, "--path": None},
     "graph build": {
@@ -237,13 +237,12 @@ PINNED_OPTIONS = {
         "--model": None, "--dataset": None, "--epsilon": None, "--scale": 1.0,
         "--seed": 2025, "--set": None, "--stream-pairs": False,
         "--chunk-walks": None, "--walk-workers": None, "--frontier-shard": None,
-        "--on-disk": False, **_WALK_CACHE, "--backend": None, "--device": None,
-        "--precision": None, "--out": None,
+        "--on-disk": False, **_WALK_CACHE, "--backend": None, "--out": None,
     },
     "worker": {
         "--server": None, "--name": None, "--poll-interval": 1.0,
         "--max-cells": None, "--drain": False, "--lease-seconds": None,
-        **_WALK_CACHE,
+        "--on-disk": False, **_WALK_CACHE,
     },
 }
 

@@ -4,7 +4,6 @@ import pytest
 
 from repro.experiments import (
     ExperimentSettings,
-    build_private_model,
     fig2_weight_rationality,
     fig3_link_prediction,
     fig4_node_clustering,
@@ -15,9 +14,10 @@ from repro.experiments import (
 )
 from repro.experiments.runners import (
     PRIVATE_MODEL_NAMES,
-    build_nonprivate_model,
     load_experiment_graph,
+    make_model,
     mean_and_std,
+    settings_overrides,
 )
 
 
@@ -41,26 +41,38 @@ class TestSettings:
             ExperimentSettings(test_fraction=1.5)
 
 
+def build_from_settings(name, graph, settings, epsilon=None):
+    """A model configured from ``settings`` the way every sweep cell is."""
+    return make_model(
+        name, epsilon=epsilon, graph=graph, rng=0,
+        **settings_overrides(name, settings),
+    )
+
+
 class TestRunners:
     @pytest.mark.parametrize("name", PRIVATE_MODEL_NAMES + ("DP-SGM", "DP-ASGM"))
     def test_build_private_model(self, name, smoke_settings):
         graph = load_experiment_graph("ppi", smoke_settings)
-        model = build_private_model(name, graph, 6.0, smoke_settings, seed=0)
+        model = build_from_settings(name, graph, smoke_settings, epsilon=6.0)
+        assert model.config.epsilon == 6.0
         assert hasattr(model, "fit")
         assert hasattr(model, "score_edges")
 
     def test_build_private_model_unknown(self, smoke_settings):
         graph = load_experiment_graph("ppi", smoke_settings)
         with pytest.raises(KeyError):
-            build_private_model("nope", graph, 1.0, smoke_settings, seed=0)
+            build_from_settings("nope", graph, smoke_settings, epsilon=1.0)
 
     def test_build_nonprivate_model(self, smoke_settings):
         graph = load_experiment_graph("ppi", smoke_settings)
         for name in ("SGM(No DP)", "AdvSGM(No DP)"):
-            model = build_nonprivate_model(name, graph, smoke_settings, seed=0)
+            model = build_from_settings(name, graph, smoke_settings)
             assert hasattr(model, "fit")
+            # A budget for a non-private model is refused, not ignored.
+            with pytest.raises(ValueError):
+                build_from_settings(name, graph, smoke_settings, epsilon=1.0)
         with pytest.raises(KeyError):
-            build_nonprivate_model("nope", graph, smoke_settings, seed=0)
+            build_from_settings("nope", graph, smoke_settings)
 
     def test_mean_and_std(self):
         mean, std = mean_and_std([1.0, 2.0, 3.0])

@@ -1,7 +1,7 @@
 """Property-based tests (hypothesis) for core numerics and invariants."""
 
 import numpy as np
-from hypothesis import given, settings, strategies as st
+from hypothesis import assume, given, settings, strategies as st
 from hypothesis.extra import numpy as hnp
 
 from repro.evals.metrics import mutual_information, roc_auc_score
@@ -9,7 +9,10 @@ from repro.nn.constrained_sigmoid import ConstrainedSigmoid
 from repro.nn.functional import log_sigmoid, sigmoid
 from repro.privacy.clipping import clip_by_l2_norm, clip_rows_by_l2_norm
 from repro.privacy.composition import DEFAULT_RDP_ORDERS, rdp_to_dp
+from repro.privacy.accountant import RdpAccountant
 from repro.privacy.subsampling import subsampled_gaussian_rdp
+from repro.train.budget import PrivacyBudget
+from repro.train.loop import TrainingLoop
 
 finite_floats = st.floats(-1e6, 1e6, allow_nan=False, allow_infinity=False)
 
@@ -123,3 +126,41 @@ def test_graph_degree_sum_property(num_nodes, attachment, seed):
     graph = barabasi_albert_graph(num_nodes, attachment, rng=seed)
     assert graph.degrees.sum() == 2 * graph.num_edges
     assert graph.degrees.min() >= 1
+
+
+#: Largest stop step the stop-rule property explores (keeps examples fast).
+MAX_STOP_STEP = 1500
+
+
+@settings(deadline=None, max_examples=40)
+@given(
+    sigma=st.floats(0.6, 3.0),
+    q=st.floats(0.05, 1.0),
+    epsilon=st.floats(0.5, 8.0),
+    delta=st.floats(1e-7, 1e-3),
+    steps_per_epoch=st.integers(1, 25),
+)
+def test_budget_stop_rule_property(sigma, q, epsilon, delta, steps_per_epoch):
+    """Training runs exactly s* steps: the first count with delta-hat >= delta.
+
+    s* comes from an independently stepped accountant; the loop polls a real
+    PrivacyBudget before every step, and each step charges one accountant
+    step — Algorithm 3 lines 9-11, across epoch boundaries.
+    """
+    reference = RdpAccountant(sigma)
+    s_star = 0
+    while reference.get_delta_spent(epsilon) < delta:
+        reference.step(q)
+        s_star += 1
+        assume(s_star <= MAX_STOP_STEP)
+
+    accountant = RdpAccountant(sigma)
+    loop = TrainingLoop(
+        num_epochs=MAX_STOP_STEP // steps_per_epoch + 2,
+        steps_per_epoch=steps_per_epoch,
+        budget=PrivacyBudget(accountant, epsilon, delta),
+    )
+    result = loop.run(lambda epoch, step: accountant.step(q))
+    assert result.stopped_early
+    assert result.steps_completed == s_star == accountant.steps
+    assert accountant.get_delta_spent(epsilon) >= delta

@@ -376,6 +376,20 @@ class TestHttpSurface:
         with pytest.raises(ServiceError, match="invalid experiment spec"):
             client._json("POST", "/specs", {"spec": {"task": "nonsense"}})
 
+    @pytest.mark.parametrize("field,value", [
+        ("on_disk", True), ("walk_cache", "/tmp/artifacts"),
+        ("device", "cuda"), ("precision", "fast"),
+    ])
+    def test_spec_with_a_removed_placement_field_is_400(self, server, field, value):
+        # Placement travels beside a spec and compute placement is spelled
+        # only by the backend spec string: a spec naming one of the old
+        # fields is refused with the field's name, not silently ignored.
+        client = ServiceClient(server.base_url)
+        body = {**tiny_spec(repeats=1).to_dict(), field: value}
+        with pytest.raises(ServiceError, match="400") as info:
+            client._json("POST", "/specs", {"spec": body})
+        assert field in str(info.value)
+
     def test_unknown_endpoint_is_404(self, server):
         client = ServiceClient(server.base_url)
         with pytest.raises(ServiceError, match="404"):

@@ -30,7 +30,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from repro.api import ExperimentCell, ExperimentSpec, ModelSpec
+from repro.api import ExperimentCell, ExperimentSpec, ModelSpec, Placement
 from repro.api.registry import make_model
 from repro.cache import (
     ARTIFACT_SCHEMA_VERSION,
@@ -109,9 +109,11 @@ class TestKeysAndResolution:
             dataset_seed=11, test_fraction=0.1,
         )
         key = cell_key(base)
-        for value in (True, False, str(tmp_path)):
-            assert cell_key(dataclasses.replace(base, walk_cache=value)) == key
-        # ... whether the knob rides as a cell field or a model override.
+        # The knob travels in a Placement beside the cell, never in it...
+        with pytest.raises(TypeError, match="walk_cache"):
+            dataclasses.replace(base, walk_cache=str(tmp_path))
+        # ... and where it lands, as a walk model's config override, it is
+        # canonicalised away.
         override = dataclasses.replace(
             base,
             model=ModelSpec(
@@ -360,7 +362,7 @@ class TestTrainingParity:
 # ---------------------------------------------------------------------------
 # sweep and service parity
 # ---------------------------------------------------------------------------
-def tiny_spec(walk_cache=None, repeats=2, model="deepwalk"):
+def tiny_spec(repeats=2, model="deepwalk"):
     overrides = dict(num_epochs=1, embedding_dim=8, batch_size=64)
     if model in ("deepwalk", "node2vec"):
         overrides.update(num_walks=1, walk_length=5)
@@ -372,27 +374,30 @@ def tiny_spec(walk_cache=None, repeats=2, model="deepwalk"):
         repeats=repeats,
         base_seed=11,
         dataset_scale=0.1,
-        walk_cache=walk_cache,
     )
+
+
+def cached_at(path):
+    return Placement(walk_cache=str(path))
 
 
 class TestSweepAndService:
     def test_run_spec_rows_identical_and_artifacts_written(self, tmp_path):
         baseline = run_spec(tiny_spec())
         arts = tmp_path / "artifacts"
-        cached = run_spec(tiny_spec(walk_cache=str(arts)))
+        cached = run_spec(tiny_spec(), placement=cached_at(arts))
         assert cached == baseline
         store = WalkCorpusStore(arts)
         assert store.report()["count"] >= 1
-        warm = run_spec(tiny_spec(walk_cache=str(arts)))
+        warm = run_spec(tiny_spec(), placement=cached_at(arts))
         assert warm == baseline
 
     def test_non_walk_model_ignores_walk_cache(self, tmp_path):
         # The skipgram family has no walk corpus; a sweep-level walk_cache
         # must be silently ignored for its cells, not crash them.
-        spec = tiny_spec(walk_cache=str(tmp_path / "a"), repeats=1, model="sgm")
-        rows = run_spec(spec)
-        assert rows and rows == run_spec(tiny_spec(repeats=1, model="sgm"))
+        spec = tiny_spec(repeats=1, model="sgm")
+        rows = run_spec(spec, placement=cached_at(tmp_path / "a"))
+        assert rows and rows == run_spec(spec)
 
     @pytest.mark.timeout(120)
     def test_service_worker_with_walk_cache_matches_serial(self, tmp_path):
@@ -407,7 +412,7 @@ class TestSweepAndService:
             ServiceClient(srv.base_url).submit(spec)
             worker = ServiceWorker(
                 srv.base_url, name="w0", drain=True, poll_interval=0.05,
-                walk_cache=str(arts),
+                placement=cached_at(arts),
             )
             assert worker.run() == 2
             for cell, serial_row in zip(spec.cells(), serial_rows):
